@@ -75,7 +75,7 @@ from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import ALGORITHM_FACTORIES, config_for
 from repro.summarize.golden import golden_run
 from repro.summarize.pipeline import run_vs
-from repro.video.synthetic import make_event_input, make_input
+from repro.video.synthetic import cached_input, make_event_input, make_input
 
 
 def _positive_int(raw: str) -> int:
@@ -188,8 +188,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     observing = status_path is not None or args.serve is not None
     with _maybe_traced(args):
-        stream = make_input(args.input, n_frames=args.frames)
+        # The process-cached render: the spec's tape capture fetches the
+        # same stream instead of rendering it a second time.
+        stream = cached_input(args.input, n_frames=args.frames)
         config = config_for(args.algorithm)
+        spec = VSWorkloadSpec.for_stream(stream, config)
         golden_start = time.perf_counter()
         golden = golden_run(stream, config)
         golden_wall_s = time.perf_counter() - golden_start
@@ -213,8 +216,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             workers=workers,
             watchdog=watchdog,
             probe=args.probe,
-            fast_forward=args.fast_forward,
-            boundary_batch=args.boundary_batch,
             sampling=args.sampling,
             ci_width=args.ci_width,
             round_size=args.round_size,
@@ -242,7 +243,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                     golden.output,
                     golden.total_cycles,
                     campaign_config,
-                    spec=VSWorkloadSpec.for_stream(stream, config),
+                    spec=spec,
                     journal_path=journal_path,
                     resume=args.resume is not None,
                 )
@@ -604,23 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="trace per-stage divergence against the golden run "
         "(observational: outcomes stay bit-identical)",
-    )
-    p_camp.add_argument(
-        "--no-fast-forward",
-        action="store_false",
-        dest="fast_forward",
-        help="disable golden-prefix fast-forward and execute every "
-        "injected run in full (results are bit-identical either way; "
-        "this is the escape hatch for timing studies and debugging)",
-    )
-    p_camp.add_argument(
-        "--no-boundary-batch",
-        action="store_false",
-        dest="boundary_batch",
-        help="disable boundary fan-out: run one full snapshot restore "
-        "per injection instead of grouping injections by frame boundary "
-        "and sharing the restore (results are bit-identical either way; "
-        "this is the reference path CI diffs batched campaigns against)",
     )
     p_camp.add_argument(
         "--sampling",

@@ -28,13 +28,17 @@ from repro.faultinject.journal import (
     load_journal,
     require_sampling_mode,
 )
-from repro.faultinject.monitor import FaultMonitor, InjectionResult, Workload
+from repro.faultinject.monitor import InjectionResult, Workload
 from repro.faultinject.outcomes import OutcomeCounts, RunningRates
 from repro.faultinject.parallel import (
     RetryPolicy,
     WorkloadSpec,
-    compute_chunk_bounds,
     execute_plans_parallel,
+    fast_forward_for,
+    group_plan_indices,
+    index_groups,
+    injection_rng,
+    monitor_for,
     resolve_workers,
 )
 from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, LivenessModel, RegKind
@@ -78,27 +82,6 @@ class CampaignConfig:
     #: only observe — outcomes, counts, histograms and SDC payloads are
     #: bit-identical to an unprobed campaign at any worker count.
     probe: bool = False
-    #: Golden-prefix fast-forward (see
-    #: :mod:`repro.faultinject.fastforward`): injected runs restore the
-    #: last golden frame-boundary snapshot before their target cycle and
-    #: execute only the live suffix.  Results are bit-identical to full
-    #: executions; only wall-clock time changes.  Takes effect for
-    #: workloads whose spec can rebuild a snapshot tape (the standard VS
-    #: workloads); custom workloads run in full either way.  Part of the
-    #: journal config fingerprint, so a journal written in one mode
-    #: cannot be resumed in the other.
-    fast_forward: bool = True
-    #: Boundary fan-out (see :class:`repro.faultinject.fastforward.
-    #: BoundaryFanOut`): group plans by the frame boundary they resume
-    #: from, dispatch whole groups to workers, materialize each
-    #: boundary's restore once per worker and clone per-run state
-    #: copy-on-write from it, synthesizing golden tails for runs that
-    #: re-converge to the tape.  Results are bit-identical to plain
-    #: fast-forward (``--no-boundary-batch``); only wall-clock time
-    #: changes.  No effect unless ``fast_forward`` is active.  Part of
-    #: the journal config fingerprint: journals checkpoint at group
-    #: granularity in this mode, so mixed-mode resume is rejected.
-    boundary_batch: bool = True
     #: Sampling strategy (see :mod:`repro.faultinject.sampling`).
     #: ``"uniform"`` (the default) draws ``n_injections`` plans exactly
     #: as every previous release did — byte-identical for the same seed,
@@ -225,33 +208,21 @@ def assemble_campaign(
 def _prepare_journal(
     config: CampaignConfig,
     n_plans: int,
-    workers: int,
     journal_path: Path,
     resume: bool,
-    groups: list[list[int]] | None = None,
-) -> tuple[
-    CampaignJournal,
-    list[tuple[int, int]] | None,
-    list[list[int]] | None,
-    dict[int, list[InjectionResult]],
-    bool,
-]:
+    groups: list[list[int]],
+) -> tuple[CampaignJournal, list[list[int]], dict[int, list[InjectionResult]], bool]:
     """Open (or reopen) the journal.
 
-    Returns ``(journal, bounds, groups, completed, partial)`` — exactly
-    one of ``bounds``/``groups`` is set, and on resume it is whatever
-    the journal header recorded (the original run's dispatch must be
-    replayed verbatim; the config fingerprint has already rejected a
-    journal written in the other batching mode).
+    Returns ``(journal, groups, completed, partial)``.  On resume the
+    groups are whatever the journal header recorded: the original run's
+    dispatch must be replayed verbatim, since index chunking depends on
+    the original worker count.
     """
     journal_path = Path(journal_path)
     if not resume:
-        if groups is not None:
-            journal = CampaignJournal.create(journal_path, config, groups=groups)
-            return journal, None, groups, {}, False
-        bounds = compute_chunk_bounds(n_plans, workers)
-        journal = CampaignJournal.create(journal_path, config, bounds)
-        return journal, bounds, None, {}, False
+        journal = CampaignJournal.create(journal_path, config, groups=groups)
+        return journal, groups, {}, False
 
     state = load_journal(journal_path)
     # Mode mixing gets its own targeted error before the generic
@@ -264,26 +235,14 @@ def _prepare_journal(
             f"configuration (journal {state.fingerprint} vs requested "
             f"{fingerprint}); refusing to mix results"
         )
-    journal_groups = state.groups
-    if journal_groups is not None:
-        covered = sorted(index for group in journal_groups for index in group)
-        if covered != list(range(n_plans)):
-            raise JournalError(
-                f"journal {journal_path} boundary groups do not cover the "
-                f"campaign's {n_plans} injections"
-            )
-        journal = CampaignJournal.append_to(
-            journal_path, chunks_written=len(state.chunks)
-        )
-        return journal, None, journal_groups, state.chunks, state.discarded_partial
-    bounds = state.chunk_bounds
-    if not bounds or bounds[-1][1] != n_plans or bounds[0][0] != 0:
+    covered = sorted(index for group in state.groups for index in group)
+    if covered != list(range(n_plans)):
         raise JournalError(
-            f"journal {journal_path} chunk bounds {bounds!r} do not cover "
-            f"the campaign's {n_plans} injections"
+            f"journal {journal_path} dispatch groups do not cover the "
+            f"campaign's {n_plans} injections"
         )
     journal = CampaignJournal.append_to(journal_path, chunks_written=len(state.chunks))
-    return journal, bounds, None, state.chunks, state.discarded_partial
+    return journal, state.groups, state.chunks, state.discarded_partial
 
 
 def run_campaign(
@@ -347,27 +306,23 @@ def run_campaign(
     with telemetry.span("campaign.draw_plans"):
         plans = draw_plans(config, golden_cycles)
 
-    batching = (
-        config.fast_forward
-        and config.boundary_batch
-        and spec is not None
-        and hasattr(spec, "build_fast_forward")
-    )
     groups: list[list[int]] | None = None
-    if batching and (journal_path is not None or workers > 1):
-        # Boundary-grouped dispatch needs the tape parent-side: group
-        # the plans by resume boundary so each group lands whole on one
-        # worker, and clamp the pool — more workers than groups only
-        # buys idle startup cost.
-        from repro.faultinject.parallel import fast_forward_for, group_plan_indices
-
-        parent_ff = fast_forward_for(spec, config)
+    if journal_path is not None or workers > 1:
+        # Grouped dispatch needs the tape parent-side: group the plans
+        # by resume boundary so each group lands whole on one worker,
+        # and clamp the pool — more workers than groups only buys idle
+        # startup cost.
+        parent_ff = fast_forward_for(spec)
         if parent_ff is not None:
             with telemetry.span("campaign.group_plans"):
                 groups = group_plan_indices(parent_ff.boundary_index_for, plans)
             workers = resolve_workers(
                 config.workers, max_useful=min(len(plans), max(1, len(groups)))
             )
+        elif journal_path is not None:
+            # No tape: the journal still records its dispatch as groups,
+            # here contiguous index chunks.
+            groups = index_groups(len(plans), workers)
 
     observe_events.emit(
         "campaign_start",
@@ -397,34 +352,24 @@ def run_campaign(
     annotate = heartbeat.annotate if heartbeat is not None else None
     if heartbeat is not None and config.probe:
         heartbeat.annotate("divergence probes on")
-    if (
-        heartbeat is not None
-        and config.fast_forward
-        and spec is not None
-        and hasattr(spec, "build_fast_forward")
-    ):
-        heartbeat.annotate("golden-prefix fast-forward on")
-    if heartbeat is not None and batching:
-        if groups is not None:
-            heartbeat.annotate(f"boundary fan-out on ({len(groups)} groups)")
-        else:
-            heartbeat.annotate("boundary fan-out on")
+    if heartbeat is not None and spec is not None and hasattr(spec, "build_fast_forward"):
+        note = f" ({len(groups)} groups)" if groups is not None else ""
+        heartbeat.annotate(f"boundary fan-out on{note}")
 
     if journal_path is not None:
-        journal, bounds, journal_groups, done, partial = _prepare_journal(
-            config, len(plans), workers, journal_path, resume, groups=groups
+        journal, groups, done, partial = _prepare_journal(
+            config, len(plans), journal_path, resume, groups
         )
         if resume:
-            n_chunks = len(bounds) if bounds is not None else len(journal_groups)
             observe_events.emit(
                 "journal_resume",
                 replayed=len(done),
-                units=n_chunks,
+                units=len(groups),
                 injections=sum(len(res) for res in done.values()),
                 discarded_partial=partial,
             )
             if heartbeat is not None:
-                note = f"resumed {len(done)}/{n_chunks} journaled chunks"
+                note = f"resumed {len(done)}/{len(groups)} journaled chunks"
                 if partial:
                     note += " (discarded one torn record)"
                 heartbeat.annotate(note)
@@ -436,8 +381,7 @@ def run_campaign(
                 workers,
                 progress=progress,
                 local_state=(workload, golden_output, golden_cycles),
-                bounds=bounds,
-                groups=journal_groups,
+                groups=groups,
                 completed=done,
                 journal=journal,
                 annotate=annotate,
@@ -455,26 +399,13 @@ def run_campaign(
                 annotate=annotate,
             )
     else:
-        from repro.faultinject.parallel import fast_forward_for
-
-        monitor = FaultMonitor(
-            workload,
-            golden_output,
-            golden_cycles,
-            hang_factor=config.hang_factor,
-            liveness=config.liveness,
-            site_filter=config.site_filter,
-            keep_sdc_outputs=config.keep_sdc_outputs,
-            watchdog=config.watchdog,
-            probe=config.probe,
-            fast_forward=fast_forward_for(spec, config),
-            boundary_batch=config.boundary_batch,
+        monitor = monitor_for(
+            workload, golden_output, golden_cycles, config, fast_forward_for(spec)
         )
         results = []
         with telemetry.span("campaign.execute"):
             for index, plan in enumerate(plans):
-                run_rng = np.random.default_rng((config.seed + 1) * 1_000_003 + index)
-                result = monitor.run_injected(plan, run_rng)
+                result = monitor.run_injected(plan, injection_rng(config.seed, index))
                 results.append(result)
                 if observe_events.enabled():
                     observe_events.emit(

@@ -715,7 +715,7 @@ class BoundaryFanOut:
     are mandatory, not an optimization to skip: restores are destructive
     (a fired flip may corrupt any restored object), so nothing mutable
     is ever shared between members.  The equivalence suite checks
-    batched campaigns byte-for-byte against unbatched ones.
+    fan-out campaigns byte-for-byte against full executions.
     """
 
     def __init__(self, fast_forward: FastForward, index: int) -> None:

@@ -6,13 +6,13 @@ The journal is a schema-versioned JSONL file the campaign engine
 appends to as chunks complete:
 
 * line 1 — a ``header`` record: schema version, a fingerprint of every
-  config field that affects results, and the dispatch layout — contiguous
-  ``chunk_bounds`` for index-chunked campaigns, the boundary ``groups``
-  (lists of plan indices) for boundary-batched ones, or the
-  ``stratification`` grid for adaptive stratified campaigns — so a
-  resume can detect config drift and re-dispatch exactly as the
-  original run did (chunking depends on the original worker count;
-  groups on the tape; stratified rounds on the accumulated statistics);
+  config field that affects results, and the dispatch layout — the
+  ``groups`` (lists of plan indices, one per chunk) for uniform
+  campaigns, or the ``stratification`` grid for adaptive stratified
+  campaigns — so a resume can detect config drift and re-dispatch
+  exactly as the original run did (boundary groups depend on the tape,
+  contiguous index groups on the original worker count, stratified
+  rounds on the accumulated statistics);
 * then one ``chunk`` record per completed injection chunk (or one
   ``round`` record per completed stratified sampling round), carrying
   the fully serialized :class:`InjectionResult` list plus a CRC32
@@ -56,16 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Bump when a record's shape changes incompatibly; loaders reject
 #: journals from other schema versions rather than misreading them.
-#: v2: header carries either ``chunk_bounds`` or boundary ``groups``
-#: (group-granularity checkpointing), and the fingerprint gained
-#: ``boundary_batch``.
+#: v2: boundary-group checkpointing (the header's ``groups`` form).
 #: v3: stratified campaigns (see :mod:`repro.faultinject.sampling`)
 #: checkpoint at **round** granularity — the header carries the
 #: ``stratification`` grid instead of a dispatch layout, followed by one
 #: ``round`` record per completed sampling round — and the fingerprint
 #: gained ``sampling`` (plus the stratified knobs when active), so a
 #: journal written in one sampling mode cannot be resumed in the other.
-JOURNAL_SCHEMA_VERSION = 3
+#: v4: the ``chunk_bounds`` header form is gone — campaigns without a
+#: snapshot tape record contiguous index ``groups`` instead — leaving
+#: ``groups`` and ``stratification`` as the two header forms.
+JOURNAL_SCHEMA_VERSION = 4
 
 #: Test/CI hook: abort the campaign after this many journal appends, to
 #: exercise the interrupt->resume path deterministically.
@@ -197,11 +198,6 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
     does determine whether results carry divergence records, and a
     resume that silently mixed probed and unprobed chunks would leave a
     campaign whose attribution tables cover an arbitrary subset.
-    ``fast_forward`` is included on the same conservative grounds: the
-    engine guarantees fast-forwarded results are bit-identical to full
-    executions, but that guarantee is exactly what a mixed-mode resume
-    would be silently betting on if the modes ever disagreed — refusing
-    the mix keeps every journal attributable to one execution mode.
     A resume whose fingerprint differs from the journal's header is
     refused: mixing results from two different campaigns would be
     silently wrong.
@@ -216,11 +212,9 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
         "keep_sdc_outputs": config.keep_sdc_outputs,
         "watchdog_soft_deadline_s": watchdog.soft_deadline_s if watchdog else None,
         "probe": config.probe,
-        "fast_forward": config.fast_forward,
-        # Boundary batching changes the journal's checkpoint granularity
-        # (groups instead of contiguous index chunks), so a mixed-mode
-        # resume must be rejected as a different campaign.
-        "boundary_batch": getattr(config, "boundary_batch", True),
+        # One execution route is left, but stored record ids hash these two keys.
+        "fast_forward": True,
+        "boundary_batch": True,
         # Sampling mode decides what the journal even records (index
         # chunks / boundary groups vs adaptive rounds) and which plans
         # exist at all, so uniform and stratified journals are different
@@ -302,23 +296,19 @@ class CampaignJournal:
         cls,
         path: Path,
         config: "CampaignConfig",
-        bounds: list[tuple[int, int]] | None = None,
         groups: list[list[int]] | None = None,
         stratification: dict | None = None,
     ) -> "CampaignJournal":
         """Start a fresh journal at ``path`` (truncating any old file).
 
-        Exactly one of ``bounds`` (contiguous index chunking),
-        ``groups`` (boundary-batched dispatch: one chunk per group of
-        plan indices) or ``stratification`` (adaptive stratified
-        campaigns: the cell grid, checkpointed per round) describes the
-        dispatch layout recorded in the header.
+        Exactly one of ``groups`` (one chunk per group of plan indices)
+        or ``stratification`` (adaptive stratified campaigns: the cell
+        grid, checkpointed per round) describes the dispatch layout
+        recorded in the header.
         """
-        given = [value for value in (bounds, groups, stratification) if value is not None]
-        if len(given) != 1:
+        if (groups is None) == (stratification is None):
             raise ValueError(
-                "CampaignJournal.create needs exactly one of "
-                "bounds/groups/stratification"
+                "CampaignJournal.create needs exactly one of groups/stratification"
             )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -330,10 +320,8 @@ class CampaignJournal:
         }
         if stratification is not None:
             header["stratification"] = stratification
-        elif groups is not None:
-            header["groups"] = [list(group) for group in groups]
         else:
-            header["chunk_bounds"] = [[start, stop] for start, stop in bounds]
+            header["groups"] = [list(group) for group in groups]
         journal = cls(path, handle)
         journal._write_line(header)
         return journal
@@ -444,11 +432,8 @@ class JournalState:
 
     path: Path
     fingerprint: dict
-    #: Contiguous index chunking; empty for boundary-batched and
-    #: stratified journals.
-    chunk_bounds: list[tuple[int, int]]
-    #: Boundary groups (plan indices per chunk) for boundary-batched
-    #: journals; None for index-chunked ones.
+    #: Plan indices per chunk for uniform journals; None for stratified
+    #: ones.
     groups: list[list[int]] | None = None
     #: The stratification grid (see ``Stratification.to_dict``) for
     #: stratified journals; None otherwise.
@@ -472,7 +457,7 @@ def load_journal(path: Path) -> JournalState:
 
     Raises :class:`JournalError` for a missing/empty file, an unreadable
     or wrong-schema header, or structurally impossible chunk records
-    (bad index, length mismatch with the header's bounds).  A torn or
+    (bad index, length mismatch with the header's groups).  A torn or
     CRC-failing record at the *end* of the file — the expected shape of
     a crash — is silently discarded and flagged via
     ``discarded_partial``; corruption anywhere earlier also discards
@@ -504,20 +489,16 @@ def load_journal(path: Path) -> JournalState:
     stratification: dict | None = None
     if "stratification" in header:
         stratification = header["stratification"]
-        bounds = []
         expected_lengths = []
     elif "groups" in header:
         groups = [[int(index) for index in group] for group in header["groups"]]
-        bounds = []
         expected_lengths = [len(group) for group in groups]
     else:
-        bounds = [(int(start), int(stop)) for start, stop in header["chunk_bounds"]]
-        expected_lengths = [stop - start for start, stop in bounds]
+        raise JournalError(f"journal {path}: header records no dispatch layout")
 
     state = JournalState(
         path=path,
         fingerprint=header["fingerprint"],
-        chunk_bounds=bounds,
         groups=groups,
         stratification=stratification,
         discarded_partial=torn_tail,
@@ -548,7 +529,7 @@ def _parse_chunk_record(
     """Parse one chunk line; None for anything torn or inconsistent.
 
     ``expected_lengths[i]`` is how many results chunk ``i`` must carry —
-    derived from the header's chunk bounds or boundary groups.
+    the size of the header's group ``i``.
     """
     try:
         record = json.loads(line)

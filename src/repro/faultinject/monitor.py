@@ -73,7 +73,6 @@ class FaultMonitor:
         watchdog: Optional[WatchdogPolicy] = None,
         probe: bool = False,
         fast_forward=None,
-        boundary_batch: bool = True,
     ) -> None:
         if golden_cycles <= 0:
             raise ValueError(f"golden_cycles must be positive, got {golden_cycles}")
@@ -88,17 +87,13 @@ class FaultMonitor:
         self.probe = probe
         #: Optional :class:`repro.faultinject.fastforward.FastForward`
         #: handle.  When set, runs whose plan cycle lies past a golden
-        #: frame boundary restore that boundary's snapshot and execute
-        #: only the suffix — bit-identical to the full execution.
-        self.fast_forward = fast_forward
-        #: When True (the default) and a fast-forward handle is present,
-        #: runs resume through the boundary's shared
+        #: frame boundary resume through that boundary's shared
         #: :class:`~repro.faultinject.fastforward.BoundaryFanOut` —
-        #: restore materialized once per worker, per-run state cloned
-        #: copy-on-write, golden tails synthesized.  ``False`` is the
-        #: ``--no-boundary-batch`` reference path: one full restore per
-        #: run, no convergence watch.
-        self.boundary_batch = boundary_batch
+        #: restore materialized once per process, per-run state cloned
+        #: copy-on-write, golden tails synthesized — and execute only
+        #: the suffix, bit-identical to the full execution.  Without
+        #: one every run executes in full (the test oracle).
+        self.fast_forward = fast_forward
 
     def run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
         """Execute one injected run and classify the result."""
@@ -178,12 +173,8 @@ class FaultMonitor:
             else:
                 telemetry.counter_inc("campaign.fastforward.full_runs")
         if snapshot_index is not None:
-            if self.boundary_batch:
-                fanout = self.fast_forward.fanout(snapshot_index)
-                runner = lambda: fanout.resume_member(ctx)  # noqa: E731
-            else:
-                snapshot = self.fast_forward.tape.boundaries[snapshot_index]
-                runner = lambda: self.fast_forward.resume(ctx, snapshot)  # noqa: E731
+            fanout = self.fast_forward.fanout(snapshot_index)
+            runner = lambda: fanout.resume_member(ctx)  # noqa: E731
         else:
             runner = lambda: self.workload(ctx)  # noqa: E731
         try:

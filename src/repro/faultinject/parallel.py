@@ -237,8 +237,8 @@ def _workload_state(spec: WorkloadSpec) -> tuple[Workload, np.ndarray, int]:
 
 
 #: Per-process cache: spec -> FastForward handle (or None when the spec
-#: offers no tape).  Kept separate from ``_WORKER_STATE`` so toggling
-#: ``config.fast_forward`` never has to invalidate workload state.
+#: offers no tape).  Kept separate from ``_WORKER_STATE`` because the
+#: golden cache owns the tapes' lifetime (see :func:`clear_fast_forward_cache`).
 _WORKER_FF: dict[WorkloadSpec, object] = {}
 
 
@@ -252,14 +252,15 @@ def clear_fast_forward_cache() -> None:
     _WORKER_FF.clear()
 
 
-def fast_forward_for(spec: WorkloadSpec | None, config: "CampaignConfig"):
-    """The (cached) fast-forward handle the campaign config calls for.
+def fast_forward_for(spec: WorkloadSpec | None):
+    """The (cached) fast-forward handle for ``spec``'s workload.
 
-    Returns ``None`` when fast-forward is off, when there is no spec to
-    rebuild a tape from (custom workload closures run in full), or when
-    the spec does not support snapshotting.
+    Returns ``None`` when there is no spec to rebuild a tape from (the
+    full-execution oracle; custom workload closures run in full), when
+    the spec does not support snapshotting, or when its tape capture
+    raised ``SnapshotUnsupported``.
     """
-    if spec is None or not getattr(config, "fast_forward", True):
+    if spec is None:
         return None
     builder = getattr(spec, "build_fast_forward", None)
     if builder is None:
@@ -288,8 +289,17 @@ def monitor_for(
         watchdog=config.watchdog,
         probe=config.probe,
         fast_forward=fast_forward,
-        boundary_batch=getattr(config, "boundary_batch", True),
     )
+
+
+def injection_rng(seed: int, index: int) -> np.random.Generator:
+    """The injector RNG of campaign run ``index``.
+
+    The single source of the per-run RNG derivation — serial, worker
+    and degraded-fallback execution all draw from here, which is what
+    makes their results interchangeable bit for bit.
+    """
+    return np.random.default_rng((seed + 1) * 1_000_003 + index)
 
 
 def run_chunk_on_monitor(
@@ -297,17 +307,11 @@ def run_chunk_on_monitor(
     config: "CampaignConfig",
     chunk: list[tuple[int, InjectionPlan]],
 ) -> list[InjectionResult]:
-    """Execute one chunk of ``(index, plan)`` pairs on ``monitor``.
-
-    The single source of the per-run RNG derivation — serial, worker
-    and degraded-fallback execution all run chunks through here, which
-    is what makes their results interchangeable bit for bit.
-    """
-    results = []
-    for index, plan in chunk:
-        run_rng = np.random.default_rng((config.seed + 1) * 1_000_003 + index)
-        results.append(monitor.run_injected(plan, run_rng))
-    return results
+    """Execute one chunk of ``(index, plan)`` pairs on ``monitor``."""
+    return [
+        monitor.run_injected(plan, injection_rng(config.seed, index))
+        for index, plan in chunk
+    ]
 
 
 def run_injection_chunk(
@@ -326,7 +330,7 @@ def run_injection_chunk(
         golden_output,
         golden_cycles,
         config,
-        fast_forward=fast_forward_for(spec, config),
+        fast_forward=fast_forward_for(spec),
     )
     return run_chunk_on_monitor(monitor, config, chunk)
 
@@ -363,7 +367,7 @@ def compute_chunk_bounds(n_plans: int, workers: int) -> list[tuple[int, int]]:
 
     Resume depends on replaying the original run's exact chunking, so
     the boundaries are a pure function of ``(n_plans, workers)`` and the
-    journal header records them verbatim.
+    journal header records the resulting groups verbatim.
     """
     if n_plans <= 0:
         return []
@@ -376,27 +380,10 @@ def compute_chunk_bounds(n_plans: int, workers: int) -> list[tuple[int, int]]:
     ]
 
 
-def chunks_from_bounds(
-    plans: list[InjectionPlan],
-    bounds: list[tuple[int, int]],
-    index_base: int = 0,
-) -> list[list[tuple[int, InjectionPlan]]]:
-    """Materialize the indexed plan chunks for the given boundaries.
-
-    ``index_base`` offsets the per-run RNG index: stratified campaigns
-    execute plans round by round, and each round's runs must continue
-    the campaign-global ``(seed, index)`` derivation rather than restart
-    it at zero.  Bounds stay in local (0-based) plan positions.
-    """
-    indexed = list(enumerate(plans, start=index_base))
-    return [indexed[start:stop] for start, stop in bounds]
-
-
-def chunk_indexed_plans(
-    plans: list[InjectionPlan], workers: int
-) -> list[list[tuple[int, InjectionPlan]]]:
-    """Split the plan list into order-preserving contiguous chunks."""
-    return chunks_from_bounds(plans, compute_chunk_bounds(len(plans), workers))
+def index_groups(n_plans: int, workers: int) -> list[list[int]]:
+    """Contiguous plan-index groups: the dispatch of campaigns with no tape."""
+    bounds = compute_chunk_bounds(n_plans, workers)
+    return [list(range(start, stop)) for start, stop in bounds]
 
 
 def group_plan_indices(
@@ -430,11 +417,13 @@ def chunks_from_groups(
     groups: list[list[int]],
     index_base: int = 0,
 ) -> list[list[tuple[int, InjectionPlan]]]:
-    """Materialize indexed plan chunks, one chunk per boundary group.
+    """Materialize indexed plan chunks, one chunk per group.
 
-    Group members are local plan positions; ``index_base`` offsets only
-    the RNG index carried alongside each plan (see
-    :func:`chunks_from_bounds`).
+    Group members are local (0-based) plan positions; ``index_base``
+    offsets only the RNG index carried alongside each plan: stratified
+    campaigns execute plans round by round, and each round's runs must
+    continue the campaign-global ``(seed, index)`` derivation rather
+    than restart it at zero.
     """
     return [
         [(index_base + index, plans[index]) for index in group] for group in groups
@@ -548,7 +537,6 @@ def execute_plans_parallel(
     progress: Callable[[int], None] | None = None,
     *,
     local_state: tuple[Workload, np.ndarray, int] | None = None,
-    bounds: list[tuple[int, int]] | None = None,
     groups: list[list[int]] | None = None,
     completed: dict[int, list[InjectionResult]] | None = None,
     journal: "CampaignJournal | None" = None,
@@ -569,14 +557,14 @@ def execute_plans_parallel(
     the monitor does not classify still propagate unchanged — those are
     library bugs, not infrastructure.
 
+    ``groups`` lists the plan indices of each chunk: boundary groups
+    (plans sharing a fast-forward boundary, so a whole group lands on
+    one worker and shares its restore) or, by default, contiguous index
+    chunks derived from ``workers``.  A resume passes the journal's
+    groups, since it must replay the original run's dispatch.
     ``completed`` chunks (from a journal replay) are skipped;
     ``journal`` makes each newly finished chunk durable before it is
-    counted.  ``bounds`` pins the chunk boundaries (resume must reuse
-    the original run's); by default they derive from ``workers``.
-    ``groups`` (boundary-batched mode) replaces index chunking entirely:
-    each group of plan indices sharing a fast-forward boundary becomes
-    one chunk, so a whole group lands on one worker and shares its
-    restore.  Results are still flattened in plan-index order, so the
+    counted.  Results are flattened back into plan-index order, so the
     output is a plain in-order result list either way.  ``index_base``
     offsets the per-run RNG index without shifting chunk/group
     positions — stratified campaigns use it so each round continues the
@@ -590,12 +578,9 @@ def execute_plans_parallel(
     human-readable notes about retries and degradation (wired to the
     heartbeat by the campaign driver).
     """
-    if groups is not None:
-        chunks = chunks_from_groups(plans, groups, index_base=index_base)
-    else:
-        if bounds is None:
-            bounds = compute_chunk_bounds(len(plans), workers)
-        chunks = chunks_from_bounds(plans, bounds, index_base=index_base)
+    if groups is None:
+        groups = index_groups(len(plans), workers)
+    chunks = chunks_from_groups(plans, groups, index_base=index_base)
     if not chunks:
         return []
     retry = config.retry if config.retry is not None else RetryPolicy()
@@ -607,7 +592,8 @@ def execute_plans_parallel(
         journal,
         progress,
         completed or {},
-        unit="group" if groups is not None else "chunk",
+        # Boundary groups exist only where a tape does.
+        unit="group" if fast_forward_for(spec) is not None else "chunk",
         done_base=index_base,
     )
     if collector.results_by_chunk and progress is not None:
@@ -716,7 +702,7 @@ def execute_plans_parallel(
             golden_output,
             golden_cycles,
             config,
-            fast_forward=fast_forward_for(spec, config),
+            fast_forward=fast_forward_for(spec),
         )
         for index in list(pending):
             if tracer is not None:
@@ -731,11 +717,9 @@ def execute_plans_parallel(
             pending.remove(index)
 
     flat = collector.finish(len(chunks))
-    if groups is None:
-        return flat
-    # Group chunks are ordered by first member, not contiguous by plan
-    # index — put the flattened results back into injection order, so
-    # downstream statistics see exactly the serial path's sequence.
+    # Boundary groups are ordered by first member, not contiguous by
+    # plan index — put the flattened results back into injection order,
+    # so downstream statistics see exactly the serial path's sequence.
     reordered: list[InjectionResult | None] = [None] * len(flat)
     for position, plan_index in enumerate(index for group in groups for index in group):
         reordered[plan_index] = flat[position]

@@ -609,7 +609,7 @@ def _prepare_stratified_journal(
     journal_path: Path,
     resume: bool,
 ) -> tuple[CampaignJournal, list[list["InjectionResult"]], bool]:
-    """Open (or reopen) a round-granularity (schema v3) journal.
+    """Open (or reopen) a round-granularity journal.
 
     Returns ``(journal, replayable_rounds, discarded_partial)``.  Only
     the contiguous prefix of journaled rounds replays: round ``k``'s
@@ -664,23 +664,16 @@ def run_stratified_campaign(
     mid-round) resumes bit-identically, and worker count never changes
     results.  Rounds reuse the boundary fan-out scheduler: each round's
     plans are grouped by their fast-forward resume boundary exactly as
-    a uniform batched campaign's would be.
+    a uniform campaign's would be.
     """
     # Lazy import: campaign.run_campaign dispatches into this module, so
     # a module-level import either way would be circular.
     from repro.faultinject.campaign import assemble_campaign
 
     _validate_stratified_config(config)
-    ff = fast_forward_for(spec, config)
+    ff = fast_forward_for(spec)
     stratification = build_stratification(config, golden_cycles, fast_forward=ff)
     state = _StratifiedState(stratification, config)
-
-    batching = (
-        ff is not None
-        and config.boundary_batch
-        and spec is not None
-        and hasattr(spec, "build_fast_forward")
-    )
 
     observe_events.emit(
         "campaign_start",
@@ -749,7 +742,7 @@ def run_stratified_campaign(
                     break
                 groups = (
                     group_plan_indices(ff.boundary_index_for, plans)
-                    if batching
+                    if ff is not None
                     else None
                 )
                 workers = resolve_workers(

@@ -105,6 +105,29 @@ class TestCLI:
         assert payload["n_injections"] == 6
         assert "mask" in capsys.readouterr().out
 
+    def test_campaign_renders_input_once(self, monkeypatch):
+        from repro.summarize.golden import clear_golden_cache
+        from repro.video import synthetic
+
+        calls = []
+        render = synthetic.make_input
+
+        def counting_render(*args, **kwargs):
+            calls.append(args)
+            return render(*args, **kwargs)
+
+        # Cold caches, so the tape capture would have to render again if
+        # the CLI did not share its stream with the spec.
+        clear_golden_cache()
+        monkeypatch.setattr(synthetic, "_INPUT_CACHE", {})
+        monkeypatch.setattr(synthetic, "make_input", counting_render)
+        monkeypatch.setattr("repro.cli.make_input", counting_render)
+        code = main(
+            ["campaign", "--input", "input2", "--frames", "8", "-n", "0", "--workers", "1"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_experiment_command(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         code = main(["experiment", "fig08", "--scale", "tiny"])

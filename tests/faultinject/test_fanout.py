@@ -4,9 +4,9 @@ The contract under test (see ``src/repro/faultinject/fastforward.py``
 and ISSUE 6): a boundary-batched campaign — plans grouped by the frame
 boundary they resume from, one materialized restore per group per
 worker, per-run state cloned copy-on-write, golden tails synthesized
-for re-converged runs — is **bit-identical** to ``--no-boundary-batch``
-execution at any worker count, with probes on, and across a journal
-interrupt/resume.  Plus the scheduler pieces: group partitioning edge
+for re-converged runs — is **bit-identical** to the full-execution
+oracle (the same campaign with ``spec=None``) at any worker count, with
+probes on, and across a journal interrupt/resume.  Plus the scheduler pieces: group partitioning edge
 cases, chunk-bound edge cases, worker clamping to the group count, and
 the per-boundary amortization section of ``repro trace summarize``.
 """
@@ -26,7 +26,6 @@ from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.journal import (
     ABORT_AFTER_ENV,
     CampaignInterrupted,
-    JournalError,
     load_journal,
     serialize_result,
 )
@@ -155,26 +154,19 @@ class TestWorkerClamp:
 class TestBatchedEquivalence:
     def test_serial_batched_matches_unbatched(self, vs):
         stream, config, golden, workload, spec = vs
-        unbatched = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(boundary_batch=False),
-            spec=spec,
-        )
+        full = run_campaign(workload, golden.output, golden.total_cycles, _config())
         batched = run_campaign(
             workload, golden.output, golden.total_cycles, _config(), spec=spec
         )
-        _assert_identical(unbatched, batched)
+        _assert_identical(full, batched)
 
     def test_parallel_batched_matches_unbatched_serial(self, vs):
         stream, config, golden, workload, spec = vs
-        unbatched = run_campaign(
+        full = run_campaign(
             workload,
             golden.output,
             golden.total_cycles,
-            _config(n_injections=12, seed=10, boundary_batch=False),
-            spec=spec,
+            _config(n_injections=12, seed=10),
         )
         batched = run_campaign(
             workload,
@@ -183,16 +175,15 @@ class TestBatchedEquivalence:
             _config(n_injections=12, seed=10, workers=3),
             spec=spec,
         )
-        _assert_identical(unbatched, batched)
+        _assert_identical(full, batched)
 
     def test_probed_divergence_records_identical(self, vs):
         stream, config, golden, workload, spec = vs
-        unbatched = run_campaign(
+        full = run_campaign(
             workload,
             golden.output,
             golden.total_cycles,
-            _config(n_injections=10, probe=True, boundary_batch=False),
-            spec=spec,
+            _config(n_injections=10, probe=True),
         )
         batched = run_campaign(
             workload,
@@ -201,12 +192,12 @@ class TestBatchedEquivalence:
             _config(n_injections=10, probe=True),
             spec=spec,
         )
-        _assert_identical(unbatched, batched)
+        _assert_identical(full, batched)
 
     def test_pre_first_boundary_plan_runs_full_and_matches(self, vs):
         """A target before the first skippable boundary cannot resume —
         the batched monitor must fall back to a full run and still be
-        bit-identical to a no-fast-forward monitor."""
+        bit-identical to a monitor with no tape."""
         stream, config, golden, workload, spec = vs
         fast_forward = golden_fast_forward(stream, config)
         plan = _plan(1)
@@ -223,13 +214,7 @@ class TestBatchedEquivalence:
 class TestJournalInterplay:
     def test_interrupt_then_resume_under_batching(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
-        reference = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(workers=3, boundary_batch=False),
-            spec=spec,
-        )
+        reference = run_campaign(workload, golden.output, golden.total_cycles, _config())
         journal = tmp_path / "fanout.jsonl"
         with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
             with pytest.raises(CampaignInterrupted):
@@ -272,34 +257,10 @@ class TestJournalInterplay:
         )
         state = load_journal(journal)
         assert state.groups == groups
-        assert state.chunk_bounds == []
+        assert state.stratification is None
         assert sorted(state.chunks) == list(range(len(groups)))
         for index, group in enumerate(groups):
             assert len(state.chunks[index]) == len(group)
-
-    def test_mixed_mode_resume_rejected(self, vs, tmp_path):
-        stream, config, golden, workload, spec = vs
-        journal = tmp_path / "fanout.jsonl"
-        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    workload,
-                    golden.output,
-                    golden.total_cycles,
-                    _config(n_injections=8),
-                    spec=spec,
-                    journal_path=journal,
-                )
-        with pytest.raises(JournalError, match="different campaign"):
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(n_injections=8, boundary_batch=False),
-                spec=spec,
-                journal_path=journal,
-                resume=True,
-            )
 
 
 class TestTelemetry:

@@ -1,10 +1,11 @@
 """Golden-prefix fast-forward equivalence suite.
 
 The contract under test (see ``src/repro/faultinject/fastforward.py``):
-a fast-forwarded campaign is **bit-identical** to a full one — same
-outcome sequence, crash/hang kinds, cycle counts, SDC payloads and
-divergence records — at any worker count, with probes on, and across a
-journal interrupt/resume.  Plus the snapshot-restore property: restoring
+a fast-forwarded campaign is **bit-identical** to the full-execution
+oracle (the same campaign with ``spec=None``, which has no snapshot
+tape) — same outcome sequence, crash/hang kinds, cycle counts, SDC
+payloads and divergence records — at any worker count, with probes on,
+and across a journal interrupt/resume.  Plus the snapshot-restore property: restoring
 any frame boundary under a never-firing injector reproduces the golden
 run exactly.
 """
@@ -24,7 +25,6 @@ from repro.faultinject.injector import FaultInjector, InjectionPlan
 from repro.faultinject.journal import (
     ABORT_AFTER_ENV,
     CampaignInterrupted,
-    JournalError,
     serialize_result,
 )
 from repro.faultinject.monitor import FaultMonitor
@@ -64,13 +64,7 @@ def _assert_identical(first, second) -> None:
 class TestCampaignEquivalence:
     def test_serial_all_outcome_classes(self, vs):
         stream, config, golden, workload, spec = vs
-        full = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(fast_forward=False),
-            spec=spec,
-        )
+        full = run_campaign(workload, golden.output, golden.total_cycles, _config())
         fast = run_campaign(
             workload, golden.output, golden.total_cycles, _config(), spec=spec
         )
@@ -84,8 +78,7 @@ class TestCampaignEquivalence:
             workload,
             golden.output,
             golden.total_cycles,
-            _config(n_injections=12, seed=10, fast_forward=False),
-            spec=spec,
+            _config(n_injections=12, seed=10),
         )
         fast_parallel = run_campaign(
             workload,
@@ -102,8 +95,7 @@ class TestCampaignEquivalence:
             workload,
             golden.output,
             golden.total_cycles,
-            _config(n_injections=10, probe=True, fast_forward=False),
-            spec=spec,
+            _config(n_injections=10, probe=True),
         )
         fast = run_campaign(
             workload,
@@ -176,13 +168,7 @@ class TestHangEquivalence:
 class TestJournalInterplay:
     def test_interrupt_then_resume_matches_full(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
-        reference = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(fast_forward=False),
-            spec=spec,
-        )
+        reference = run_campaign(workload, golden.output, golden.total_cycles, _config())
         journal = tmp_path / "ff.jsonl"
         with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
             with pytest.raises(CampaignInterrupted):
@@ -204,30 +190,6 @@ class TestJournalInterplay:
             resume=True,
         )
         _assert_identical(reference, resumed)
-
-    def test_mixed_mode_resume_rejected(self, vs, tmp_path):
-        stream, config, golden, workload, spec = vs
-        journal = tmp_path / "ff.jsonl"
-        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    workload,
-                    golden.output,
-                    golden.total_cycles,
-                    _config(n_injections=8),
-                    spec=spec,
-                    journal_path=journal,
-                )
-        with pytest.raises(JournalError, match="different campaign"):
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(n_injections=8, fast_forward=False),
-                spec=spec,
-                journal_path=journal,
-                resume=True,
-            )
 
 
 class TestSnapshotRestore:

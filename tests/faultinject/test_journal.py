@@ -275,17 +275,36 @@ class TestJournalValidation:
 
     def test_wrong_schema_rejected(self, toy, tmp_path):
         journal = tmp_path / "j.jsonl"
-        journal.write_text(
-            json.dumps({"type": "header", "schema": 999, "fingerprint": {}, "chunk_bounds": []})
-            + "\n"
-        )
-        with pytest.raises(JournalError, match="schema"):
-            load_journal(journal)
+        headers = [
+            {"type": "header", "schema": 999, "fingerprint": {}, "groups": []},
+            # A v3 journal in the retired contiguous-bounds form.
+            {"type": "header", "schema": 3, "fingerprint": {}, "chunk_bounds": [[0, 8]]},
+        ]
+        for header in headers:
+            journal.write_text(json.dumps(header) + "\n")
+            with pytest.raises(JournalError, match=f"schema {header['schema']} "):
+                load_journal(journal)
 
     def test_fingerprint_tracks_watchdog_soft_deadline(self):
         base = _config()
         with_watchdog = _config(watchdog=WatchdogPolicy(soft_deadline_s=1.0))
         assert config_fingerprint(base) != config_fingerprint(with_watchdog)
+
+    def test_default_uniform_fingerprint_is_pinned(self):
+        # Stored record ids hash this dict: any change moves every id.
+        assert config_fingerprint(CampaignConfig(n_injections=8, kind=RegKind.GPR)) == {
+            "n_injections": 8,
+            "kind": "gpr",
+            "seed": 0,
+            "hang_factor": 6.0,
+            "site_filter": None,
+            "keep_sdc_outputs": True,
+            "watchdog_soft_deadline_s": None,
+            "probe": False,
+            "fast_forward": True,
+            "boundary_batch": True,
+            "sampling": "uniform",
+        }
 
     def test_fingerprint_ignores_execution_knobs(self):
         assert config_fingerprint(_config(workers=1)) == config_fingerprint(

@@ -20,8 +20,9 @@ from repro.faultinject.campaign import CampaignConfig, CampaignResult, run_campa
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.parallel import (
     VSWorkloadSpec,
-    chunk_indexed_plans,
+    chunks_from_groups,
     default_workers,
+    index_groups,
     resolve_workers,
 )
 from repro.faultinject.registers import RegKind, Role
@@ -303,10 +304,10 @@ class TestChunking:
 
         rng = np.random.default_rng(0)
         plans = [random_plan(rng, 1000, RegKind.GPR) for _ in range(23)]
-        chunks = chunk_indexed_plans(plans, workers=4)
+        chunks = chunks_from_groups(plans, index_groups(len(plans), workers=4))
         flattened = [pair for chunk in chunks for pair in chunk]
         assert [index for index, _ in flattened] == list(range(23))
         assert [plan for _, plan in flattened] == plans
 
     def test_empty(self):
-        assert chunk_indexed_plans([], workers=4) == []
+        assert index_groups(0, workers=4) == []
