@@ -38,7 +38,7 @@ query`` slices the whole corpus down to per-injection granularity
 through the store's SQLite index (see ``docs/store.md``); ``repro
 store migrate DIR`` converts a legacy single-log store to the sharded
 v2 layout (lossless, id-stable) and ``repro store rebuild DIR``
-re-derives the side index from the raw record segments.
+re-derives a v2 store's SQLite index from its record segments.
 
 Adaptive sampling (see ``docs/sampling.md``): ``campaign --sampling
 stratified --ci-width 0.02`` stratifies draws over (register-class x
@@ -187,6 +187,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         str(args.status) if args.status is not None else None
     )
     observing = status_path is not None or args.serve is not None
+    store = None
+    if args.store:
+        # Refuse a read-only (v1) store before the campaign runs, not
+        # after it when the record is put.
+        from repro.forensics.store import CampaignStore, StoreError
+
+        store = CampaignStore(args.store)
+        try:
+            store.check_writable()
+        except StoreError as exc:
+            print(f"repro campaign: {exc}", file=sys.stderr)
+            return 2
     with _maybe_traced(args):
         # The process-cached render: the spec's tape capture fetches the
         # same stream instead of rendering it a second time.
@@ -293,10 +305,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.out:
             save_json(args.out, campaign_to_dict(campaign))
             print(f"full record written to {args.out}")
-        if args.store:
-            from repro.forensics.store import CampaignStore
-
-            cid = CampaignStore(args.store).put_campaign(
+        if store is not None:
+            cid = store.put_campaign(
                 campaign, golden_output=golden.output, label=args.label
             )
             print(f"stored campaign {cid} in {args.store}")
@@ -507,7 +517,11 @@ def cmd_store(args: argparse.Namespace) -> int:
             print(f"  v1 file kept as {backup}")
         return 0
     if args.store_action == "rebuild":
-        info = rebuild_store(args.store)
+        try:
+            info = rebuild_store(args.store)
+        except StoreError as exc:
+            print(f"repro store rebuild: {exc}", file=sys.stderr)
+            return 2
         print(
             f"rebuilt the v{info['layout']} side index of {args.store}: "
             f"{info['records']} record(s)"
@@ -829,8 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_store_rebuild = store_sub.add_parser(
         "rebuild",
-        help="re-derive the side index (SQLite for v2, index.jsonl for "
-        "v1) from the raw record files, repairing torn segment tails",
+        help="re-derive a v2 store's SQLite index from its segments, "
+        "repairing torn segment tails (v1 stores: run `store migrate`)",
     )
     p_store_rebuild.add_argument("store", type=Path, help="result store directory")
     p_store_rebuild.set_defaults(func=cmd_store)

@@ -12,9 +12,9 @@ Two engines answer the same query:
 
 * :func:`index_query` — SQL over the v2 store's SQLite index
   (O(log n) slicing; the production path), and
-* :func:`scan_query` — a brute-force walk of the raw record segments
-  (the v1 fallback and the *reference semantics*: the hypothesis suite
-  pins ``index_query == scan_query`` row for row).
+* :func:`scan_query` — a brute-force walk of the raw record lines
+  (the reference engine; also answers unmigrated v1 stores): the
+  hypothesis suite pins ``index_query == scan_query`` row for row.
 
 :func:`run_query` picks the engine from the store layout.  Rates use
 the filtered injection population as their denominator, so "share of

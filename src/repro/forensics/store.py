@@ -8,9 +8,7 @@ distributions and divergence attributions, stored under a
 canonical JSON — so identical campaigns collapse to one entry and a
 record can never drift from its id unnoticed.
 
-Two on-disk layouts share one :class:`CampaignStore` facade:
-
-Layout v2 (the default for new stores)::
+Layout v2 is the one writable on-disk layout::
 
     <root>/manifest.jsonl        append-only segment manifest (CRC'd lines)
     <root>/segments/seg-NNNNNN.jsonl
@@ -21,27 +19,25 @@ Layout v2 (the default for new stores)::
                                  per-injection rows; rebuildable from the
                                  segments at any time
 
-Layout v1 (legacy, still fully read/writable)::
+Layout v1 (legacy) is read-only migration input::
 
-    <root>/campaigns.jsonl       append-only; one CRC32-guarded record per line
-    <root>/index.jsonl           incremental side index, one line per put
-                                 (each line records how far into the log it
-                                 covers, so a stale index re-syncs on open)
-    <root>/index.json            the pre-incremental side index (read-only
-                                 fallback; the first put materializes the
-                                 full index.jsonl from the log before
-                                 appending to it)
+    <root>/campaigns.jsonl       one CRC32-guarded record per line
+
+A v1 store still answers every read from one first-wins scan of its
+log (any ``index.json``/``index.jsonl`` beside it is ignored), but
+``put`` and ``rebuild_store`` refuse it with a pointer to ``repro store
+migrate``, leaving its files untouched.
 
 The record line format follows the checkpoint journal's conventions
 (schema version, ``zlib.crc32`` over the canonical payload, fsync'd
 appends).  Mid-file corruption is reported, never silently skipped; a
-*torn tail* — the final line of the live log/segment truncated by a
+*torn tail* — the final line of the live segment truncated by a
 crash mid-``put`` — is the one recoverable case: it was never
-acknowledged, so readers ignore it and writers (both layouts) truncate
-it before appending, exactly like the journal's torn-record handling.
+acknowledged, so readers ignore it and writers truncate it before
+appending, exactly like the journal's torn-record handling.
 
 Writers serialize through an advisory ``flock`` on ``<root>/.lock``
-(where the platform provides one), and each v2 put re-syncs any segment
+(where the platform provides one), and each put re-syncs any segment
 bytes another writer appended before trusting its own offsets, so
 concurrent processes may share a store.  Readers never take the lock.
 
@@ -87,7 +83,7 @@ from repro.forensics.divergence import NONE_KEY, summarize_divergence
 #: independent of the on-disk layout version below.
 STORE_SCHEMA_VERSION = 1
 
-#: On-disk layout generations (see module docstring).
+#: On-disk layout generations (see module docstring); v1 is read-only.
 LAYOUT_V1 = 1
 LAYOUT_V2 = 2
 
@@ -318,34 +314,6 @@ def _scan_lines(
             offset += len(raw)
 
 
-def _complete_prefix_end(path: Path, start: int = 0) -> int:
-    """Byte offset just past the last newline-terminated line."""
-    end = start
-    for offset, length, _text in _scan_lines(path, start):
-        end = offset + length
-    return end
-
-
-def _truncate_torn_tail(path: Path) -> None:
-    """Drop a crash-torn final line so the next append starts clean.
-
-    O(1) when the file is healthy (last byte is a newline); only a torn
-    tail pays the rescan to find the last complete line.
-    """
-    if not path.exists():
-        return
-    size = path.stat().st_size
-    if size == 0:
-        return
-    with open(path, "rb") as handle:
-        handle.seek(size - 1)
-        if handle.read(1) == b"\n":
-            return
-    end = _complete_prefix_end(path)
-    with open(path, "r+b") as handle:
-        handle.truncate(end)
-
-
 @contextmanager
 def _store_write_lock(root: Path) -> Iterator[None]:
     """Advisory exclusive lock serializing writers on one store root.
@@ -390,8 +358,10 @@ class MigrationReport:
 class CampaignStore:
     """One store directory of campaign records (layout autodetected).
 
-    ``layout`` pins a specific on-disk generation (tests, migration);
-    the default detects an existing store and creates new stores as v2.
+    New stores are created as v2.  An existing v1 store opens read-only:
+    it is input to :func:`migrate_store`, and ``put`` refuses it.
+    ``layout`` is ``None`` (detect) or :data:`LAYOUT_V2` (pin a new store
+    to v2 whatever the root holds).
     """
 
     def __init__(
@@ -401,16 +371,15 @@ class CampaignStore:
         segment_max_bytes: int | None = None,
     ) -> None:
         self.root = Path(root)
-        # v1 files
-        self.records_path = self.root / "campaigns.jsonl"
-        self.index_path = self.root / "index.json"
-        self.index_jsonl_path = self.root / "index.jsonl"
-        # v2 files
+        self.records_path = self.root / "campaigns.jsonl"  # v1 log
         self.manifest_path = self.root / "manifest.jsonl"
         self.segments_dir = self.root / "segments"
         self.db_path = self.root / "index.sqlite"
-        if layout not in (None, LAYOUT_V1, LAYOUT_V2):
-            raise StoreError(f"unknown store layout {layout!r}")
+        if layout not in (None, LAYOUT_V2):
+            raise StoreError(
+                f"store layout {layout!r} cannot be pinned (only layout "
+                f"{LAYOUT_V2} is writable; v1 stores are detected read-only)"
+            )
         self._layout = layout
         if segment_max_bytes is None:
             raw = os.environ.get(SEGMENT_BYTES_ENV)
@@ -420,7 +389,6 @@ class CampaignStore:
         self.segment_max_bytes = segment_max_bytes
         self._conn: sqlite3.Connection | None = None
         self._repaired = False
-        self._v1_index: dict | None = None
 
     # -- layout detection --------------------------------------------------
 
@@ -435,10 +403,13 @@ class CampaignStore:
             return LAYOUT_V1
         return LAYOUT_V2
 
-    @property
-    def indexed(self) -> bool:
-        """Whether slicing queries run against the SQLite index."""
-        return self.layout == LAYOUT_V2
+    def check_writable(self) -> None:
+        """Raise :class:`StoreError` when the store is read-only (v1)."""
+        if self.layout == LAYOUT_V1:
+            raise StoreError(
+                f"{self.root} is a read-only v1 store; convert it with "
+                f"`repro store migrate {self.root}` first"
+            )
 
     def close(self) -> None:
         """Release the SQLite handle (stores are also usable ad hoc)."""
@@ -461,9 +432,8 @@ class CampaignStore:
                 f"record schema {record.get('schema')!r} is not supported "
                 f"(expected {STORE_SCHEMA_VERSION})"
             )
+        self.check_writable()
         with _store_write_lock(self.root):
-            if self.layout == LAYOUT_V1:
-                return self._v1_put(record)
             return self._v2_put(record)
 
     def put_campaign(
@@ -480,7 +450,7 @@ class CampaignStore:
     def ids(self) -> list[str]:
         """Stored campaign ids in insertion order."""
         if self.layout == LAYOUT_V1:
-            return list(self._v1_load_index()["order"])
+            return [cid for cid, _record in self.records()]
         conn = self._db()
         return [row[0] for row in conn.execute("SELECT cid FROM campaigns ORDER BY seq")]
 
@@ -489,13 +459,11 @@ class CampaignStore:
 
         Rows carry the full outcome-count breakdown (plus sampling
         mode) so listing consumers — ``report list``, the trend
-        dashboard's uniform rows — never need the full record.  Legacy
-        ``index.json`` rows predate some fields; they surface as-is
-        until the store is rebuilt or migrated.
+        dashboard's uniform rows — never need the full record.  v1
+        stores derive the same rows from their log.
         """
         if self.layout == LAYOUT_V1:
-            index = self._v1_load_index()
-            return {cid: index["campaigns"][cid] for cid in index["order"]}
+            return {cid: record_summary(record) for cid, record in self.records()}
         conn = self._db()
         rows = conn.execute(
             "SELECT cid, label, kind, n_injections, seed, probe, sampling, "
@@ -524,20 +492,20 @@ class CampaignStore:
         """Load one record by id, verifying its CRC and content address.
 
         v2 stores resolve the id through the SQLite index to a single
-        ``(segment, offset, length)`` seek — O(log n), not a scan.
+        ``(segment, offset, length)`` seek — O(log n), not a scan; v1
+        stores scan their log.
         """
-        if self.layout == LAYOUT_V1:
-            return self._v1_get(cid)
-        conn = self._db()
-        row = conn.execute(
-            "SELECT segment, offset, length FROM campaigns WHERE cid = ?", (cid,)
-        ).fetchone()
-        if row is None:
+        location = self.location(cid)
+        if location is None:
+            if self.layout == LAYOUT_V1:
+                for found, record in self.records():
+                    if found == cid:
+                        return record
             raise StoreError(
                 f"campaign {cid!r} is not in store {self.root} "
                 f"(known: {', '.join(self.ids()) or 'none'})"
             )
-        segment, offset, length = row
+        segment, offset, length = location
         path = self.segments_dir / segment
         try:
             with open(path, "rb") as handle:
@@ -562,11 +530,15 @@ class CampaignStore:
     def records(self) -> Iterator[tuple[str, dict]]:
         """All ``(cid, record)`` pairs in insertion order (verified).
 
-        This is the brute-force path: it decodes every segment line and
-        is what the indexed query engine is property-tested against.
+        This is the brute-force path: it decodes every record line and
+        is what the indexed query engine is property-tested against.  A
+        cid stored twice yields its first line only, as the index does.
         """
+        seen: set[str] = set()
         for _segment, _offset, _length, cid, record in self._iter_records():
-            yield cid, record
+            if cid not in seen:
+                seen.add(cid)
+                yield cid, record
 
     def location(self, cid: str) -> tuple[str, int, int] | None:
         """``(segment, offset, length)`` for one id (v2 stores only)."""
@@ -594,170 +566,6 @@ class CampaignStore:
             for offset, length, text in _scan_lines(path):
                 cid, record = decode_record_line(text, f"{segment}:{offset}")
                 yield segment, offset, length, cid, record
-
-    # ------------------------------------------------------------------
-    # v1 backend (legacy layout, kept fully writable)
-    # ------------------------------------------------------------------
-
-    def _v1_put(self, record: dict) -> str:
-        index = self._v1_load_index()
-        cid = campaign_id(record)
-        if cid in index["campaigns"]:
-            return cid
-        self.root.mkdir(parents=True, exist_ok=True)
-        if self.records_path.exists() and not self.index_jsonl_path.exists():
-            # Legacy store read through index.json: materialize the full
-            # incremental side index from the log before the first
-            # append — a lone appended line would otherwise shadow
-            # index.json (and drop every prior campaign) on reopen.
-            index = self._v1_rebuild_index()
-            self._v1_index = index
-            if cid in index["campaigns"]:
-                return cid
-        # A crash-torn final line was never acknowledged; drop it so the
-        # new record cannot fuse with the fragment (journal rule).
-        _truncate_torn_tail(self.records_path)
-        _truncate_torn_tail(self.index_jsonl_path)
-        _cid, line = encode_record_line(record, cid)
-        offset, length = _fsync_append(self.records_path, line)
-        summary = record_summary(record)
-        # O(1) ingest: one appended side-index line per record — the
-        # monolithic rewrite-the-world index.json is never written again
-        # (only read, as a legacy fallback).  ``end`` records how far
-        # into the log this entry covers, so a stale index (crash
-        # between the two appends) re-syncs from that offset on open.
-        _fsync_append(
-            self.index_jsonl_path,
-            _canonical_json({"end": offset + length, "id": cid, "summary": summary}),
-        )
-        index["order"].append(cid)
-        index["campaigns"][cid] = summary
-        return cid
-
-    def _v1_get(self, cid: str) -> dict:
-        for _seg, offset, _length, found, record in self._iter_records():
-            if found == cid:
-                return record
-        raise StoreError(
-            f"campaign {cid!r} is not in store {self.root} "
-            f"(known: {', '.join(self.ids()) or 'none'})"
-        )
-
-    def _v1_load_index(self) -> dict:
-        """The v1 side index, self-healing: rebuilt when missing/corrupt,
-        re-synced against the log tail when stale (a crash between the
-        log append and the index append loses only the index line, and
-        that line is re-derived here)."""
-        if self._v1_index is not None:
-            return self._v1_index
-        loaded = self._v1_read_side_index()
-        if loaded is None:
-            index = self._v1_rebuild_index()
-        else:
-            index, covered = loaded
-            index = self._v1_reconcile_index(index, covered)
-        self._v1_index = index
-        return index
-
-    def _v1_read_side_index(self) -> tuple[dict, int | None] | None:
-        """``(index, covered_log_bytes)`` from the side index, or None.
-
-        ``covered_log_bytes`` is how far into ``campaigns.jsonl`` the
-        index claims to reach (None when unknown — a legacy index with
-        no coverage offsets, or the read-only ``index.json`` fallback).
-        """
-        if self.index_jsonl_path.exists():
-            order: list[str] = []
-            campaigns: dict[str, dict] = {}
-            covered: int | None = None
-            try:
-                for _offset, _length, text in _scan_lines(self.index_jsonl_path):
-                    entry = json.loads(text)
-                    cid, summary = entry["id"], entry["summary"]
-                    end = entry.get("end")
-                    if isinstance(end, int):
-                        covered = end if covered is None else max(covered, end)
-                    if cid not in campaigns:
-                        order.append(cid)
-                        campaigns[cid] = summary
-            except (json.JSONDecodeError, KeyError, TypeError):
-                return None  # corrupt side index -> rebuild from the log
-            index = {
-                "schema": STORE_SCHEMA_VERSION,
-                "order": order,
-                "campaigns": campaigns,
-            }
-            return index, covered
-        if self.index_path.exists():
-            try:
-                index = json.loads(self.index_path.read_text())
-            except json.JSONDecodeError:
-                return None
-            if index.get("schema") != STORE_SCHEMA_VERSION:
-                raise StoreError(
-                    f"store index {self.index_path} schema {index.get('schema')!r} "
-                    f"is not supported (expected {STORE_SCHEMA_VERSION})"
-                )
-            if not isinstance(index.get("order"), list) or not isinstance(
-                index.get("campaigns"), dict
-            ):
-                return None
-            return index, None
-        if not self.records_path.exists():
-            return {"schema": STORE_SCHEMA_VERSION, "order": [], "campaigns": {}}, 0
-        return None
-
-    def _v1_reconcile_index(self, index: dict, covered: int | None) -> dict:
-        """Re-index log records the side index's coverage stops short of.
-
-        Only applies to ``index.jsonl`` stores — the read-only
-        ``index.json`` fallback surfaces as-is and heals on first put.
-        Healthy stores pay one ``stat`` here; only a stale index pays
-        the tail scan.
-        """
-        if not self.index_jsonl_path.exists() or not self.records_path.exists():
-            return index
-        if covered is None:
-            # Side index predates coverage offsets: one full rebuild
-            # upgrades it rather than rescanning the log every open.
-            return self._v1_rebuild_index()
-        if self.records_path.stat().st_size <= covered:
-            return index
-        _truncate_torn_tail(self.index_jsonl_path)
-        for offset, length, text in _scan_lines(self.records_path, covered):
-            cid, record = decode_record_line(text, f"{self.records_path}:{offset}")
-            if cid in index["campaigns"]:
-                continue
-            summary = record_summary(record)
-            _fsync_append(
-                self.index_jsonl_path,
-                _canonical_json(
-                    {"end": offset + length, "id": cid, "summary": summary}
-                ),
-            )
-            index["order"].append(cid)
-            index["campaigns"][cid] = summary
-        return index
-
-    def _v1_rebuild_index(self) -> dict:
-        """Re-derive the side index from the log and persist it."""
-        order: list[str] = []
-        campaigns: dict[str, dict] = {}
-        lines: list[str] = []
-        for _seg, offset, length, cid, record in self._iter_records():
-            if cid not in campaigns:
-                order.append(cid)
-                campaigns[cid] = record_summary(record)
-                lines.append(
-                    _canonical_json(
-                        {"end": offset + length, "id": cid, "summary": campaigns[cid]}
-                    )
-                )
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_jsonl_path.with_suffix(".jsonl.tmp")
-        tmp.write_text("".join(line + "\n" for line in lines))
-        os.replace(tmp, self.index_jsonl_path)
-        return {"schema": STORE_SCHEMA_VERSION, "order": order, "campaigns": campaigns}
 
     # ------------------------------------------------------------------
     # v2 backend (segments + manifest + SQLite)
@@ -813,26 +621,23 @@ class CampaignStore:
         if not segments:
             self.segments_dir.mkdir(parents=True, exist_ok=True)
             self._append_manifest({"type": "header", "layout": LAYOUT_V2})
-            name = self._segment_name(1)
-            self._append_manifest({"type": "segment", "name": name, "seq": 1})
-            conn.execute(
-                "INSERT OR IGNORE INTO segments(name, seq, indexed_bytes) VALUES (?, ?, 0)",
-                (name, 1),
-            )
-            return name
-        live = segments[-1]
-        path = self.segments_dir / live
-        if path.exists() and path.stat().st_size >= self.segment_max_bytes:
+            roll = True
+        else:
+            live = self.segments_dir / segments[-1]
+            roll = live.exists() and live.stat().st_size >= self.segment_max_bytes
+        if roll:
             name = self._segment_name(len(segments) + 1)
             self._append_manifest(
                 {"type": "segment", "name": name, "seq": len(segments) + 1}
             )
-            conn.execute(
-                "INSERT OR IGNORE INTO segments(name, seq, indexed_bytes) VALUES (?, ?, 0)",
-                (name, len(segments) + 1),
-            )
-            return name
-        return live
+            segments.append(name)
+        # Also registers a segment whose writer was killed between its
+        # manifest append and its index commit.
+        conn.execute(
+            "INSERT OR IGNORE INTO segments(name, seq, indexed_bytes) VALUES (?, ?, 0)",
+            (segments[-1], len(segments)),
+        )
+        return segments[-1]
 
     def _v2_put(self, record: dict) -> str:
         cid = campaign_id(record)
@@ -1156,7 +961,7 @@ def migrate_store(
     # Pass 1: verify every line and plan the segment split.  Duplicate
     # cid lines (a pre-dedupe-fix log could hold the same record twice;
     # identical cid means identical bytes, so nothing is lost) are
-    # skipped, matching the side index's first-wins semantics.
+    # skipped, matching the readers' first-wins semantics.
     lines: list[tuple[str, str]] = []  # (cid, raw line text)
     seen: set[str] = set()
     for offset, _length, text in _scan_lines(store.records_path):
@@ -1245,8 +1050,10 @@ def migrate_store(
             f"files were left in place"
         )
 
-    # Retire the v1 files so detection is unambiguous.
-    for old in (store.records_path, store.index_path, store.index_jsonl_path):
+    # Retire the v1 files (the log and any side index older releases left
+    # beside it) so detection is unambiguous.
+    for name in ("campaigns.jsonl", "index.json", "index.jsonl"):
+        old = store.root / name
         if old.exists():
             backup = old.with_name(old.name + ".v1")
             os.replace(old, backup)
@@ -1255,18 +1062,14 @@ def migrate_store(
 
 
 def rebuild_store(root: Path | str) -> dict:
-    """Rebuild the derived side index from the raw record files.
+    """Rebuild a v2 store's SQLite index from its segments.
 
-    v1 stores get a fresh ``index.jsonl``; v2 stores get a fresh
-    ``index.sqlite`` (torn segment tails are truncated).  Returns
-    ``{layout, records}``.
+    Torn segment tails are truncated.  Returns ``{layout, records}``.
+    A v1 store has no index to rebuild: it raises :class:`StoreError`
+    naming ``repro store migrate`` and its files are left untouched.
     """
     store = CampaignStore(root)
-    if store.layout == LAYOUT_V1:
-        index = store._v1_rebuild_index()
-        store._v1_index = index
-        return {"layout": LAYOUT_V1, "records": len(index["order"])}
-    store.close()
+    store.check_writable()
     try:
         store.db_path.unlink()
     except FileNotFoundError:

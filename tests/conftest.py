@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.runtime.context import CostProfile, ExecutionContext
 from repro.summarize.config import VSConfig
 from repro.summarize.golden import clear_golden_cache
@@ -63,6 +64,18 @@ def tiny_stream2():
 def tiny_config() -> VSConfig:
     """The baseline config used by the tiny integration tests."""
     return VSConfig()
+
+
+@pytest.fixture()
+def fresh_tracer():
+    """A fresh tracer for one test; the previously active tracer is restored.
+
+    ``telemetry.enable()`` would hand back an already-active tracer (one
+    ``REPRO_TRACE=1`` turned on, say) with other tests' counters in it.
+    """
+    tracer, previous = telemetry.swap_in_fresh_tracer()
+    yield tracer
+    telemetry.restore_tracer(previous)
 
 
 @pytest.fixture(autouse=True)

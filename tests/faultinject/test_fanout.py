@@ -19,7 +19,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.analysis.experiments import TINY, input_stream, vs_workload
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.injector import InjectionPlan
@@ -264,24 +263,20 @@ class TestJournalInterplay:
 
 
 class TestTelemetry:
-    def test_fanout_counters_surface(self, vs):
+    def test_fanout_counters_surface(self, vs, fresh_tracer):
         stream, config, golden, workload, spec = vs
         # Fresh handles: fan-out state hangs off the process-cached
         # FastForward handle, and creation-time counters only fire for
         # fan-outs materialized while tracing is on.
         clear_golden_cache()
-        tracer = telemetry.enable()
-        try:
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(),
-                spec=spec,
-            )
-            registry = tracer.registry
-        finally:
-            telemetry.disable()
+        run_campaign(
+            workload,
+            golden.output,
+            golden.total_cycles,
+            _config(),
+            spec=spec,
+        )
+        registry = fresh_tracer.registry
         groups = registry.counter("campaign.fanout.groups")
         assert groups >= 1
         assert registry.counter("campaign.fanout.shared_restores") == groups
@@ -294,21 +289,17 @@ class TestTelemetry:
         full_runs = registry.counter("campaign.fastforward.full_runs")
         assert hits + full_runs == 16
 
-    def test_trace_summarize_renders_amortization(self, vs, tmp_path):
+    def test_trace_summarize_renders_amortization(self, vs, tmp_path, fresh_tracer):
         stream, config, golden, workload, spec = vs
         clear_golden_cache()
-        tracer = telemetry.enable()
-        try:
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(),
-                spec=spec,
-            )
-            trace_path = write_trace(tmp_path / "trace.jsonl", tracer)
-        finally:
-            telemetry.disable()
+        run_campaign(
+            workload,
+            golden.output,
+            golden.total_cycles,
+            _config(),
+            spec=spec,
+        )
+        trace_path = write_trace(tmp_path / "trace.jsonl", fresh_tracer)
         summary = summarize_trace(trace_path)
         assert any(name.startswith("fanout.suffix.b") for name in summary.stages)
         rendered = render_summary(summary)

@@ -18,7 +18,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.analysis.experiments import TINY, input_stream, vs_workload
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.injector import FaultInjector, InjectionPlan
@@ -231,20 +230,16 @@ class TestSnapshotRestore:
 
 
 class TestTelemetryCounters:
-    def test_fastforward_counters_surface(self, vs):
+    def test_fastforward_counters_surface(self, vs, fresh_tracer):
         stream, config, golden, workload, spec = vs
-        tracer = telemetry.enable()
-        try:
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(n_injections=8),
-                spec=spec,
-            )
-            registry = tracer.registry
-        finally:
-            telemetry.disable()
+        run_campaign(
+            workload,
+            golden.output,
+            golden.total_cycles,
+            _config(n_injections=8),
+            spec=spec,
+        )
+        registry = fresh_tracer.registry
         hits = registry.counter("campaign.fastforward.hits")
         full_runs = registry.counter("campaign.fastforward.full_runs")
         assert hits + full_runs == 8

@@ -252,7 +252,7 @@ class TestWorkerResolution:
 
 
 class TestMeteredChunkTracerRestore:
-    def test_mid_chunk_exception_restores_parent_tracer(self):
+    def test_mid_chunk_exception_restores_parent_tracer(self, fresh_tracer):
         """A chunk that dies mid-run must not leak its swapped-in tracer.
 
         Regression guard: ``run_injection_chunk_metered`` swaps a fresh
@@ -263,39 +263,27 @@ class TestMeteredChunkTracerRestore:
         from repro import telemetry
         from repro.faultinject.parallel import run_injection_chunk_metered
 
-        parent_tracer = telemetry.enable()
-        try:
-            spec = CrashingSpec()
-            _, golden, cycles = spec.build()
-            config = CampaignConfig(n_injections=2, kind=RegKind.GPR, seed=0)
-            plans = [
-                InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)
-            ]
-            with pytest.raises(SystemError, match="unclassifiable"):
-                run_injection_chunk_metered(spec, config, list(enumerate(plans)))
-            assert telemetry.get_tracer() is parent_tracer
-        finally:
-            telemetry.disable()
+        spec = CrashingSpec()
+        _, golden, cycles = spec.build()
+        config = CampaignConfig(n_injections=2, kind=RegKind.GPR, seed=0)
+        plans = [InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)]
+        with pytest.raises(SystemError, match="unclassifiable"):
+            run_injection_chunk_metered(spec, config, list(enumerate(plans)))
+        assert telemetry.get_tracer() is fresh_tracer
 
-    def test_successful_chunk_also_restores(self):
+    def test_successful_chunk_also_restores(self, fresh_tracer):
         from repro import telemetry
         from repro.faultinject.parallel import run_injection_chunk_metered
 
-        parent_tracer = telemetry.enable()
-        try:
-            spec = ToyWorkloadSpec()
-            config = CampaignConfig(n_injections=1, kind=RegKind.GPR, seed=0)
-            plans = [
-                InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)
-            ]
-            results, snapshot = run_injection_chunk_metered(
-                spec, config, list(enumerate(plans))
-            )
-            assert len(results) == 1
-            assert snapshot["counters"].get("campaign.runs") == 1
-            assert telemetry.get_tracer() is parent_tracer
-        finally:
-            telemetry.disable()
+        spec = ToyWorkloadSpec()
+        config = CampaignConfig(n_injections=1, kind=RegKind.GPR, seed=0)
+        plans = [InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)]
+        results, snapshot = run_injection_chunk_metered(
+            spec, config, list(enumerate(plans))
+        )
+        assert len(results) == 1
+        assert snapshot["counters"].get("campaign.runs") == 1
+        assert telemetry.get_tracer() is fresh_tracer
 
 
 class TestChunking:

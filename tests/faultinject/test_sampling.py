@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.faultinject.campaign import CampaignConfig, draw_plans, run_campaign
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.journal import (
@@ -428,16 +427,10 @@ class TestStratifiedCampaign:
                 resume=True,
             )
 
-    def test_telemetry_counters_surface(self):
+    def test_telemetry_counters_surface(self, fresh_tracer):
         golden, cycles = _toy()
-        tracer = telemetry.enable()
-        try:
-            campaign = run_campaign(
-                toy_workload, golden, cycles, _stratified_config()
-            )
-            counters = dict(tracer.registry.snapshot()["counters"])
-        finally:
-            telemetry.disable()
+        campaign = run_campaign(toy_workload, golden, cycles, _stratified_config())
+        counters = dict(fresh_tracer.registry.snapshot()["counters"])
         summary = campaign.sampling
         assert counters["campaign.sampling.rounds"] == summary.rounds
         assert counters["campaign.sampling.cells_converged"] == summary.cells_converged

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.forensics.store import LAYOUT_V1, LAYOUT_V2, CampaignStore
+from repro.forensics.store import LAYOUT_V2, CampaignStore
 from repro.forensics.synth import synthesize_corpus
+
+from tests.forensics.v1store import snapshot_files, write_v1_store
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,25 @@ class TestCampaignForensicsFlags:
         assert code == 0
         assert "divergence:" in out
         assert "stored campaign" in out
+
+    def test_v1_store_refused_before_running(self, v1_store_root, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("campaign work started for a read-only store")
+
+        for name in ("cached_input", "golden_run", "run_campaign"):
+            monkeypatch.setattr(f"repro.cli.{name}", must_not_run)
+        before = snapshot_files(v1_store_root)
+        code = main(
+            [
+                "campaign", "--input", "input2", "--frames", "8", "-n", "6",
+                "--workers", "1", "--seed", "5", "--store", str(v1_store_root),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repro store migrate {v1_store_root}" in captured.err
+        assert "stored campaign" not in captured.out
+        assert snapshot_files(v1_store_root) == before
 
 
 class TestReportCommand:
@@ -111,9 +132,7 @@ class TestReportCommand:
 @pytest.fixture
 def v1_store_root(tmp_path):
     root = tmp_path / "v1store"
-    store = CampaignStore(root, layout=LAYOUT_V1)
-    for record in synthesize_corpus(3, seed=400, n_injections=20):
-        store.put(record)
+    write_v1_store(root, synthesize_corpus(3, seed=400, n_injections=20))
     return root
 
 
@@ -132,8 +151,14 @@ class TestStoreCommand:
         assert "already" in capsys.readouterr().err
 
     def test_rebuild_both_layouts(self, v1_store_root, capsys):
-        assert main(["store", "rebuild", str(v1_store_root)]) == 0
-        assert "rebuilt the v1 side index" in capsys.readouterr().out
+        # v1 has no index to rebuild: usage error naming the migration,
+        # files untouched; once migrated, rebuild re-derives the SQLite.
+        before = snapshot_files(v1_store_root)
+        assert main(["store", "rebuild", str(v1_store_root)]) == 2
+        captured = capsys.readouterr()
+        assert f"repro store migrate {v1_store_root}" in captured.err
+        assert captured.out == ""
+        assert snapshot_files(v1_store_root) == before
         assert main(["store", "migrate", str(v1_store_root)]) == 0
         capsys.readouterr()
         assert main(["store", "rebuild", str(v1_store_root)]) == 0

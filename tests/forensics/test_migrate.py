@@ -17,13 +17,15 @@ from repro.forensics.store import (
 from repro.forensics.synth import synthesize_corpus, synthesize_record
 from repro.observe.trend import build_trend, render_trend
 
+from tests.forensics.v1store import snapshot_files, write_v1_store
+
 
 @pytest.fixture
 def v1_root(tmp_path):
     root = tmp_path / "store"
-    store = CampaignStore(root, layout=LAYOUT_V1)
-    for record in synthesize_corpus(5, seed=200, n_injections=30, stratified_every=4):
-        store.put(record)
+    write_v1_store(
+        root, synthesize_corpus(5, seed=200, n_injections=30, stratified_every=4)
+    )
     return root
 
 
@@ -136,11 +138,13 @@ class TestMigrate:
 
 class TestRebuild:
     def test_rebuild_v1(self, v1_root):
-        ids = CampaignStore(v1_root).ids()
-        (v1_root / "index.jsonl").unlink()
-        result = rebuild_store(v1_root)
-        assert result == {"layout": LAYOUT_V1, "records": len(ids)}
-        assert CampaignStore(v1_root).ids() == ids
+        # A v1 store has no index to rebuild; it must be migrated, and
+        # the refusal leaves every file as it was.
+        before = snapshot_files(v1_root)
+        with pytest.raises(StoreError, match=f"repro store migrate {v1_root}"):
+            rebuild_store(v1_root)
+        assert snapshot_files(v1_root) == before
+        assert CampaignStore(v1_root).layout == LAYOUT_V1
 
     def test_rebuild_v2(self, v1_root):
         migrate_store(v1_root)

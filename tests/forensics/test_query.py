@@ -18,13 +18,10 @@ from repro.forensics.query import (
     scan_query,
 )
 from repro.forensics.report import render_sections
-from repro.forensics.store import (
-    LAYOUT_V1,
-    LAYOUT_V2,
-    CampaignStore,
-    StoreError,
-)
+from repro.forensics.store import CampaignStore, StoreError
 from repro.forensics.synth import synthesize_corpus
+
+from tests.forensics.v1store import write_v1_store
 
 pytest.importorskip("hypothesis")
 
@@ -36,7 +33,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def v2_store(tmp_path_factory, corpus):
-    store = CampaignStore(tmp_path_factory.mktemp("qv2") / "store", layout=LAYOUT_V2)
+    store = CampaignStore(tmp_path_factory.mktemp("qv2") / "store")
     for record in corpus:
         store.put(record)
     return store
@@ -44,10 +41,9 @@ def v2_store(tmp_path_factory, corpus):
 
 @pytest.fixture(scope="module")
 def v1_store(tmp_path_factory, corpus):
-    store = CampaignStore(tmp_path_factory.mktemp("qv1") / "store", layout=LAYOUT_V1)
-    for record in corpus:
-        store.put(record)
-    return store
+    root = tmp_path_factory.mktemp("qv1") / "store"
+    write_v1_store(root, corpus)
+    return CampaignStore(root)
 
 
 class TestStoreQuery:
