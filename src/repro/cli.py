@@ -142,7 +142,9 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--input", default="input2", choices=["input1", "input2"], help="synthetic input"
     )
-    parser.add_argument("--frames", type=int, default=48, help="frames to generate")
+    parser.add_argument(
+        "--frames", type=_positive_int, default=48, help="frames to generate"
+    )
     parser.add_argument(
         "--algorithm",
         default="VS",
@@ -200,18 +202,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"repro campaign: {exc}", file=sys.stderr)
             return 2
     with _maybe_traced(args):
-        # The process-cached render: the spec's tape capture fetches the
-        # same stream instead of rendering it a second time.
-        stream = cached_input(args.input, n_frames=args.frames)
+        # The process-cached render: the spec's build and tape capture
+        # fetch the same stream instead of rendering it again.
         config = config_for(args.algorithm)
-        spec = VSWorkloadSpec.for_stream(stream, config)
+        spec = VSWorkloadSpec.for_stream(
+            cached_input(args.input, n_frames=args.frames), config
+        )
         golden_start = time.perf_counter()
-        golden = golden_run(stream, config)
+        workload, golden_output, golden_cycles = spec.build()
         golden_wall_s = time.perf_counter() - golden_start
-
-        def workload(ctx: ExecutionContext) -> np.ndarray:
-            return run_vs(stream, config, ctx).panorama
-
         watchdog = (
             WatchdogPolicy.from_golden(golden_wall_s, soft_factor=args.watchdog_factor)
             if args.watchdog_factor is not None
@@ -252,8 +251,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                     print(f"observatory serving at {session.server.url}")
                 campaign = run_campaign(
                     workload,
-                    golden.output,
-                    golden.total_cycles,
+                    golden_output,
+                    golden_cycles,
                     campaign_config,
                     spec=spec,
                     journal_path=journal_path,
@@ -307,7 +306,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"full record written to {args.out}")
         if store is not None:
             cid = store.put_campaign(
-                campaign, golden_output=golden.output, label=args.label
+                campaign, golden_output=golden_output, label=args.label
             )
             print(f"stored campaign {cid} in {args.store}")
     return 0

@@ -13,9 +13,10 @@ sites (cycle, register, bit) of one register kind, collecting:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from repro.faultinject.parallel import (
     fast_forward_for,
     group_plan_indices,
     index_groups,
-    injection_rng,
-    monitor_for,
     resolve_workers,
 )
 from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, LivenessModel, RegKind
@@ -61,8 +60,8 @@ class CampaignConfig:
     keep_sdc_outputs: bool = True
     liveness: LivenessModel = field(default_factory=LivenessModel)
     #: Worker processes to shard the campaign across.  ``None`` defers
-    #: to the ``REPRO_WORKERS`` environment variable (default 1 = the
-    #: serial path).  Values above 1 take effect only when the caller
+    #: to the ``REPRO_WORKERS`` environment variable (default 1 = in
+    #: process).  Values above 1 take effect only when the caller
     #: supplies a picklable workload spec (see ``run_campaign``).
     workers: int | None = None
     #: Wall-clock watchdog deadlines (see
@@ -111,9 +110,9 @@ class CampaignConfig:
     #: ``REPRO_HEARTBEAT_INTERVAL`` environment variable (default 2.0).
     #: Pure presentation — never part of the journal fingerprint.
     heartbeat_interval: float | None = None
-    #: Suppress heartbeat/annotation lines on stderr.  Progress still
-    #: flows through the observe event bus when one is installed, so a
-    #: quiet campaign remains fully watchable via ``--status``.
+    #: Suppress heartbeat lines on stderr.  The heartbeat is only a
+    #: subscriber, so a quiet campaign's events still reach ``--status``
+    #: and the telemetry counters unchanged.
     quiet: bool = False
 
 
@@ -245,6 +244,38 @@ def _prepare_journal(
     return journal, state.groups, state.chunks, state.discarded_partial
 
 
+@contextlib.contextmanager
+def campaign_subscribers(config: CampaignConfig) -> Iterator[None]:
+    """Subscribe the heartbeat and the counter table while tracing is on.
+
+    Both campaign drivers run inside this.  A bus is installed only if
+    none is, and the previous one is restored on exit; an observed
+    campaign's status writer and flight recorder thus share one bus,
+    and one stream of events, with the telemetry counters and stderr.
+    """
+    tracer = telemetry.get_tracer()
+    if tracer is None:
+        yield
+        return
+    previous = observe_events.current()
+    bus = previous if previous is not None else observe_events.install()
+    subscribers = (
+        telemetry.Heartbeat(
+            interval_s=telemetry.resolve_heartbeat_interval(config.heartbeat_interval),
+            quiet=config.quiet,
+        ),
+        tracer.registry.count_event,
+    )
+    for subscriber in subscribers:
+        bus.subscribe(subscriber)
+    try:
+        yield
+    finally:
+        for subscriber in subscribers:
+            bus.unsubscribe(subscriber)
+        observe_events.restore(previous)
+
+
 def run_campaign(
     workload: Workload,
     golden_output: np.ndarray,
@@ -259,13 +290,16 @@ def run_campaign(
     Fully deterministic given ``config.seed``: plans are drawn from a
     seeded generator and each run's injector RNG is derived from it.
 
-    When ``spec`` (a picklable recipe that rebuilds the workload, see
-    :mod:`repro.faultinject.parallel`) is given and the resolved worker
-    count exceeds 1, injections are sharded across a process pool and
-    reassembled in order — the result is bit-identical to the serial
-    path regardless of the worker count.  Worker deaths and stalled
-    chunks retry under ``config.retry`` and degrade toward in-process
-    execution rather than aborting (see ``docs/resilience.md``).
+    Every campaign is one :func:`execute_plans_parallel` call.  With a
+    snapshot tape (``spec`` is a picklable recipe offering one, see
+    :mod:`repro.faultinject.parallel`) the plans are grouped by resume
+    boundary; without one, into contiguous index chunks.  When the
+    resolved worker count exceeds 1 the groups are sharded across a
+    process pool and reassembled in order — the result is bit-identical
+    at any worker count.  Worker deaths and stalled chunks retry under
+    ``config.retry`` and degrade toward in-process execution rather
+    than aborting (see ``docs/resilience.md``).  ``spec=None`` runs
+    every injection in full: the test oracle.
 
     ``journal_path`` makes the campaign **crash-safe**: every completed
     chunk is durably appended (fsync'd) to a JSONL checkpoint journal.
@@ -275,8 +309,9 @@ def run_campaign(
     run.  A torn trailing record from a mid-write crash is detected and
     discarded; that chunk simply re-runs.
 
-    With telemetry enabled (see :mod:`repro.telemetry`) the campaign
-    additionally records phase spans, per-outcome counters and a
+    Campaign facts go out as events on the observe bus.  With telemetry
+    enabled (see :mod:`repro.telemetry`) the campaign additionally
+    records phase spans, counters kept from those events and a
     progress heartbeat on stderr — none of which feed back into the
     campaign, so traced and untraced runs produce identical results.
 
@@ -302,131 +337,78 @@ def run_campaign(
             journal_path=journal_path,
             resume=resume,
         )
-    workers = resolve_workers(config.workers, max_useful=config.n_injections)
-    with telemetry.span("campaign.draw_plans"):
-        plans = draw_plans(config, golden_cycles)
+    with campaign_subscribers(config):
+        workers = resolve_workers(config.workers, max_useful=config.n_injections)
+        with telemetry.span("campaign.draw_plans"):
+            plans = draw_plans(config, golden_cycles)
 
-    groups: list[list[int]] | None = None
-    if journal_path is not None or workers > 1:
-        # Grouped dispatch needs the tape parent-side: group the plans
-        # by resume boundary so each group lands whole on one worker,
-        # and clamp the pool — more workers than groups only buys idle
-        # startup cost.
-        parent_ff = fast_forward_for(spec)
-        if parent_ff is not None:
+        # Group the plans by resume boundary so each group lands whole on
+        # one worker, and clamp the pool — more workers than groups only
+        # buys idle startup cost.  No tape: contiguous index chunks.
+        fast_forward = fast_forward_for(spec)
+        if fast_forward is not None:
             with telemetry.span("campaign.group_plans"):
-                groups = group_plan_indices(parent_ff.boundary_index_for, plans)
+                groups = group_plan_indices(fast_forward.boundary_index_for, plans)
             workers = resolve_workers(
                 config.workers, max_useful=min(len(plans), max(1, len(groups)))
             )
-        elif journal_path is not None:
-            # No tape: the journal still records its dispatch as groups,
-            # here contiguous index chunks.
+        else:
             groups = index_groups(len(plans), workers)
 
-    observe_events.emit(
-        "campaign_start",
-        mode="uniform",
-        kind=config.kind.value,
-        total=len(plans),
-        workers=workers,
-        seed=config.seed,
-        journaled=journal_path is not None,
-        resume=resume,
-        groups=len(groups) if groups is not None else None,
-    )
-    # The heartbeat exists whenever anyone is listening — telemetry for
-    # the stderr lines, or an observe bus for heartbeat events.  Without
-    # telemetry it stays quiet (no surprise stderr from --status alone).
-    heartbeat = (
-        telemetry.Heartbeat(
-            len(plans),
-            label=f"campaign {config.kind.value}",
-            interval_s=telemetry.resolve_heartbeat_interval(config.heartbeat_interval),
-            quiet=config.quiet or not telemetry.enabled(),
+        observe_events.emit(
+            "campaign_start",
+            mode="uniform",
+            kind=config.kind.value,
+            total=len(plans),
+            workers=workers,
+            seed=config.seed,
+            journaled=journal_path is not None,
+            resume=resume,
+            groups=len(groups),
         )
-        if telemetry.enabled() or observe_events.enabled()
-        else None
-    )
-    progress = heartbeat.update if heartbeat is not None else None
-    annotate = heartbeat.annotate if heartbeat is not None else None
-    if heartbeat is not None and config.probe:
-        heartbeat.annotate("divergence probes on")
-    if heartbeat is not None and spec is not None and hasattr(spec, "build_fast_forward"):
-        note = f" ({len(groups)} groups)" if groups is not None else ""
-        heartbeat.annotate(f"boundary fan-out on{note}")
+        if config.probe:
+            observe_events.emit("note", note="divergence probes on")
+        if fast_forward is not None:
+            observe_events.emit("note", note=f"boundary fan-out on ({len(groups)} groups)")
 
-    if journal_path is not None:
-        journal, groups, done, partial = _prepare_journal(
-            config, len(plans), journal_path, resume, groups
-        )
-        if resume:
-            observe_events.emit(
-                "journal_resume",
-                replayed=len(done),
-                units=len(groups),
-                injections=sum(len(res) for res in done.values()),
-                discarded_partial=partial,
+        journal: CampaignJournal | None = None
+        done: dict[int, list[InjectionResult]] = {}
+        if journal_path is not None:
+            journal, groups, done, partial = _prepare_journal(
+                config, len(plans), journal_path, resume, groups
             )
-            if heartbeat is not None:
-                note = f"resumed {len(done)}/{len(groups)} journaled chunks"
-                if partial:
-                    note += " (discarded one torn record)"
-                heartbeat.annotate(note)
-        with telemetry.span("campaign.execute"), journal:
+            if resume:
+                observe_events.emit(
+                    "journal_resume",
+                    replayed=len(done),
+                    units=len(groups),
+                    injections=sum(len(res) for res in done.values()),
+                    discarded_partial=partial,
+                )
+        with telemetry.span("campaign.execute"), (
+            journal if journal is not None else contextlib.nullcontext()
+        ):
             results = execute_plans_parallel(
                 spec,
                 config,
                 plans,
                 workers,
-                progress=progress,
                 local_state=(workload, golden_output, golden_cycles),
                 groups=groups,
                 completed=done,
                 journal=journal,
-                annotate=annotate,
             )
-    elif spec is not None and workers > 1 and config.n_injections > 1:
-        with telemetry.span("campaign.execute"):
-            results = execute_plans_parallel(
-                spec,
-                config,
-                plans,
-                workers,
-                progress=progress,
-                local_state=(workload, golden_output, golden_cycles),
-                groups=groups,
-                annotate=annotate,
-            )
-    else:
-        monitor = monitor_for(
-            workload, golden_output, golden_cycles, config, fast_forward_for(spec)
-        )
-        results = []
-        with telemetry.span("campaign.execute"):
-            for index, plan in enumerate(plans):
-                result = monitor.run_injected(plan, injection_rng(config.seed, index))
-                results.append(result)
-                if observe_events.enabled():
-                    observe_events.emit(
-                        "injection_done",
-                        index=index,
-                        done=index + 1,
-                        outcomes={result.outcome.value: 1},
-                    )
-                if progress is not None:
-                    progress(index + 1)
 
-    with telemetry.span("campaign.assemble"):
-        campaign = assemble_campaign(config, results)
-    observe_events.emit(
-        "campaign_finish",
-        total=campaign.counts.total,
-        outcomes={
-            "mask": campaign.counts.masked,
-            "sdc": campaign.counts.sdc,
-            "crash": campaign.counts.crash,
-            "hang": campaign.counts.hang,
-        },
-    )
-    return campaign
+        with telemetry.span("campaign.assemble"):
+            campaign = assemble_campaign(config, results)
+        observe_events.emit(
+            "campaign_finish",
+            total=campaign.counts.total,
+            outcomes={
+                "mask": campaign.counts.masked,
+                "sdc": campaign.counts.sdc,
+                "crash": campaign.counts.crash,
+                "hang": campaign.counts.hang,
+            },
+        )
+        return campaign

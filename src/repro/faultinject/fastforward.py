@@ -555,9 +555,8 @@ class FastForward:
         """
         probes.replay_prefix(self.tape.probe_events[snapshot.probe_count :])
         ctx.preload(self.tape.golden_cycles)
-        telemetry.counter_inc("campaign.fanout.golden_tail")
-        # Parent-side only by construction: workers never carry a bus,
-        # so fan-out never duplicates golden-tail events.
+        # Recorded with the chunk that ran this member and re-published
+        # by the parent when the chunk is secured.
         observe_events.emit(
             "golden_tail",
             frame=snapshot.frame_index,

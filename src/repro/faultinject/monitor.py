@@ -103,8 +103,6 @@ class FaultMonitor:
             # classification, so traced and untraced campaigns agree.
             telemetry.counter_inc("campaign.runs")
             telemetry.counter_inc(f"campaign.outcome.{result.outcome.value}")
-            if result.hang_kind is HangKind.WATCHDOG:
-                telemetry.counter_inc("campaign.watchdog_hangs")
             if result.record.fired:
                 telemetry.counter_inc("campaign.fired")
             if result.divergence is not None and result.divergence.first_divergence:

@@ -3,13 +3,13 @@
 Injection runs are embarrassingly parallel — each run derives its own
 RNG from ``(seed, index)`` and shares nothing with its neighbours except
 the (read-only) golden reference — so a campaign's wall clock scales
-with available cores.  The engine here keeps the serial path's exact
-semantics:
+with available cores.  Every campaign, at any worker count, goes
+through the one executor here:
 
 * the plan sequence is drawn **once, in order**, from the campaign seed
   in the parent process (workers never touch the plan RNG),
-* each run's injector RNG is the same ``(seed, index)`` derivation the
-  serial loop uses,
+* each run's injector RNG is the same ``(seed, index)`` derivation in
+  every process,
 * results are reassembled **in injection order** before statistics are
   computed, so counts, running-rate trends, histograms and SDC outputs
   are bit-identical to ``workers=1``.
@@ -122,7 +122,7 @@ class VSWorkloadSpec:
 
         Returns ``None`` for streams that ``make_input`` cannot
         regenerate (custom or transformed streams), in which case the
-        campaign falls back to serial execution.
+        campaign runs every injection in full, in process.
         """
         if stream.name not in ("input1", "input2") or len(stream) == 0:
             return None
@@ -295,9 +295,9 @@ def monitor_for(
 def injection_rng(seed: int, index: int) -> np.random.Generator:
     """The injector RNG of campaign run ``index``.
 
-    The single source of the per-run RNG derivation — serial, worker
-    and degraded-fallback execution all draw from here, which is what
-    makes their results interchangeable bit for bit.
+    The single source of the per-run RNG derivation — pooled and
+    in-process execution both draw from here, which is what makes their
+    results interchangeable bit for bit.
     """
     return np.random.default_rng((seed + 1) * 1_000_003 + index)
 
@@ -321,8 +321,8 @@ def run_injection_chunk(
 ) -> list[InjectionResult]:
     """Execute one chunk of ``(index, plan)`` pairs in this process.
 
-    The module-level entry point workers import; also usable in-process
-    (the serial path and the tests go through the same code).
+    The module-level entry point workers import (through
+    :func:`run_injection_chunk_metered`).
     """
     workload, golden_output, golden_cycles = _workload_state(spec)
     monitor = monitor_for(
@@ -335,26 +335,42 @@ def run_injection_chunk(
     return run_chunk_on_monitor(monitor, config, chunk)
 
 
+#: What a chunk hands back, pooled or in process: its ordered results,
+#: its metric snapshot (``None`` with telemetry off) and the campaign
+#: events it emitted, as ``(kind, payload)``.
+ChunkPayload = tuple[list[InjectionResult], dict | None, list[tuple[str, dict]]]
+
+
+def meter_chunk(run: Callable[[], list[InjectionResult]]) -> ChunkPayload:
+    """Run one chunk, keeping its metrics and events apart from the process's.
+
+    With telemetry on, a fresh tracer is swapped in for the chunk's
+    duration, so the snapshot covers exactly this chunk's activity
+    (stage timers, outcome counters, golden-cache counters) whatever a
+    forked worker inherited from the parent.  The chunk's events are
+    recorded, not published.  The parent merges snapshots in chunk order
+    and re-publishes events when it secures the chunk, so both are
+    deterministic for a fixed chunking.
+    """
+    fresh, previous = (
+        telemetry.swap_in_fresh_tracer() if telemetry.enabled() else (None, None)
+    )
+    try:
+        with observe_events.recording() as recorded:
+            results = run()
+    finally:
+        if fresh is not None:
+            telemetry.restore_tracer(previous)
+    return results, (fresh.registry.snapshot() if fresh is not None else None), recorded
+
+
 def run_injection_chunk_metered(
     spec: WorkloadSpec,
     config: "CampaignConfig",
     chunk: list[tuple[int, InjectionPlan]],
-) -> tuple[list[InjectionResult], dict]:
-    """Like :func:`run_injection_chunk`, plus this chunk's metric snapshot.
-
-    A fresh tracer is swapped in for the chunk's duration, so the
-    returned snapshot covers exactly this chunk's activity (stage
-    timers, outcome counters, golden-cache counters) regardless of what
-    a forked worker inherited from the parent.  The parent merges the
-    snapshots in chunk order, which makes the aggregated registry
-    deterministic for a fixed chunking.
-    """
-    fresh, previous = telemetry.swap_in_fresh_tracer()
-    try:
-        results = run_injection_chunk(spec, config, chunk)
-    finally:
-        telemetry.restore_tracer(previous)
-    return results, fresh.registry.snapshot()
+) -> ChunkPayload:
+    """The pool's task: :func:`run_injection_chunk` under :func:`meter_chunk`."""
+    return meter_chunk(lambda: run_injection_chunk(spec, config, chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -448,31 +464,25 @@ def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
 
 
 class _ChunkCollector:
-    """Secures completed chunks: results, telemetry snapshot, journal.
+    """Secures completed chunks: results, telemetry snapshot, journal, events.
 
-    ``progress`` is reported as the cumulative injection count over all
-    secured chunks (journal-replayed ones included), and snapshots are
-    merged into the parent tracer at :meth:`finish` in ascending chunk
-    order so the aggregated metrics stay deterministic no matter what
-    order retries completed in.
+    Snapshots are merged into the parent tracer at :meth:`finish` in
+    ascending chunk order, so the aggregated metrics stay deterministic
+    no matter what order retries completed in.
     """
 
     def __init__(
         self,
-        tracer,
         journal: "CampaignJournal | None",
-        progress: Callable[[int], None] | None,
         completed: dict[int, list[InjectionResult]],
         unit: str = "chunk",
         done_base: int = 0,
     ) -> None:
-        self.tracer = tracer
         self.journal = journal
-        self.progress = progress
         self.unit = unit
         # Injections secured before this collector existed (stratified
         # rounds call the executor once per round): offsets the ``done``
-        # totals events report, never the progress callback.
+        # totals events report.
         self.done_base = done_base
         self.results_by_chunk: dict[int, list[InjectionResult]] = dict(completed)
         self.snapshots: dict[int, dict] = {}
@@ -481,13 +491,11 @@ class _ChunkCollector:
     def injections_done(self) -> int:
         return sum(len(results) for results in self.results_by_chunk.values())
 
-    def secure(self, chunk_index: int, chunk_result) -> None:
+    def secure(self, chunk_index: int, payload: ChunkPayload) -> None:
         """Record one freshly executed chunk (journal before reporting)."""
-        if self.tracer is not None:
-            results, snapshot = chunk_result
+        results, snapshot, recorded = payload
+        if snapshot is not None:
             self.snapshots[chunk_index] = snapshot
-        else:
-            results = chunk_result
         self.results_by_chunk[chunk_index] = results
         if self.journal is not None:
             # Durability first: only a journaled chunk counts as done.
@@ -496,6 +504,8 @@ class _ChunkCollector:
         if observe_events.enabled():
             # Tallies are computed only when someone is listening, so
             # the unobserved hot path stays one None check per chunk.
+            for kind, fields in recorded:
+                observe_events.emit(kind, **fields)
             outcomes: dict[str, int] = {}
             watchdog_hangs = 0
             for result in results:
@@ -513,14 +523,13 @@ class _ChunkCollector:
                 observe_events.emit(
                     "watchdog_hang", index=chunk_index, count=watchdog_hangs
                 )
-        if self.progress is not None:
-            self.progress(self.injections_done)
 
     def finish(self, n_chunks: int) -> list[InjectionResult]:
         """Merge telemetry in chunk order and flatten results in order."""
-        if self.tracer is not None:
+        tracer = telemetry.get_tracer()
+        if tracer is not None:
             for chunk_index in sorted(self.snapshots):
-                self.tracer.registry.merge_snapshot(self.snapshots[chunk_index])
+                tracer.registry.merge_snapshot(self.snapshots[chunk_index])
         assert sorted(self.results_by_chunk) == list(range(n_chunks))
         return [
             result
@@ -534,21 +543,20 @@ def execute_plans_parallel(
     config: "CampaignConfig",
     plans: list[InjectionPlan],
     workers: int,
-    progress: Callable[[int], None] | None = None,
     *,
-    local_state: tuple[Workload, np.ndarray, int] | None = None,
+    local_state: tuple[Workload, np.ndarray, int],
     groups: list[list[int]] | None = None,
     completed: dict[int, list[InjectionResult]] | None = None,
     journal: "CampaignJournal | None" = None,
-    annotate: Callable[[str], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
     index_base: int = 0,
 ) -> list[InjectionResult]:
     """Run all plans, in injection order, surviving worker failures.
 
-    The happy path dispatches chunks to a process pool and drains them
-    in chunk order.  Infrastructure failures — a worker killed by the
-    OS (``BrokenProcessPool``) or a chunk exceeding its hard wall-clock
+    With a spec and more than one worker, chunks go to a process pool
+    and are drained in chunk order; otherwise they run in process.
+    Infrastructure failures — a worker killed by the OS
+    (``BrokenProcessPool``) or a chunk exceeding its hard wall-clock
     deadline — never abort the campaign: already-finished chunks are
     swept from the broken pool, the remainder is retried under
     ``config.retry`` (exponential backoff + jitter, bounded attempts,
@@ -557,10 +565,12 @@ def execute_plans_parallel(
     the monitor does not classify still propagate unchanged — those are
     library bugs, not infrastructure.
 
-    ``groups`` lists the plan indices of each chunk: boundary groups
-    (plans sharing a fast-forward boundary, so a whole group lands on
-    one worker and shares its restore) or, by default, contiguous index
-    chunks derived from ``workers``.  A resume passes the journal's
+    ``local_state`` is the caller's ``(workload, golden_output,
+    golden_cycles)``, which in-process chunks run on.  ``groups`` lists
+    the plan indices of each chunk: boundary groups (plans sharing a
+    fast-forward boundary, so a whole group lands on one worker and
+    shares its restore) or, by default, contiguous index chunks derived
+    from ``workers``.  A resume passes the journal's
     groups, since it must replay the original run's dispatch.
     ``completed`` chunks (from a journal replay) are skipped;
     ``journal`` makes each newly finished chunk durable before it is
@@ -570,13 +580,11 @@ def execute_plans_parallel(
     positions — stratified campaigns use it so each round continues the
     campaign-global ``(seed, index)`` derivation.
 
-    When telemetry is enabled, each chunk returns a worker-side metric
-    snapshot; snapshots are merged into the parent tracer **in chunk
-    order** at the end, so the aggregated metrics are deterministic
-    regardless of retry scheduling.  ``progress``, when given, receives
-    the cumulative number of completed injections; ``annotate`` receives
-    human-readable notes about retries and degradation (wired to the
-    heartbeat by the campaign driver).
+    Every chunk, pooled or in process, returns one
+    :data:`ChunkPayload`: metric snapshots are merged into the parent
+    tracer **in chunk order** at the end, and the chunk's events are
+    re-published on the parent's bus when it is secured, followed by
+    its ``chunk_done``/``group_done`` event.
     """
     if groups is None:
         groups = index_groups(len(plans), workers)
@@ -585,19 +593,13 @@ def execute_plans_parallel(
         return []
     retry = config.retry if config.retry is not None else RetryPolicy()
     watchdog = config.watchdog
-    tracer = telemetry.get_tracer()
-    chunk_fn = run_injection_chunk_metered if tracer is not None else run_injection_chunk
     collector = _ChunkCollector(
-        tracer,
         journal,
-        progress,
         completed or {},
         # Boundary groups exist only where a tape does.
         unit="group" if fast_forward_for(spec) is not None else "chunk",
         done_base=index_base,
     )
-    if collector.results_by_chunk and progress is not None:
-        progress(collector.injections_done)
 
     pending = [i for i in range(len(chunks)) if i not in collector.results_by_chunk]
     # Jitter RNG: timing-only, never touches result determinism.
@@ -609,7 +611,7 @@ def execute_plans_parallel(
         pool = ProcessPoolExecutor(max_workers=pool_workers)
         try:
             futures = {
-                index: pool.submit(chunk_fn, spec, config, chunks[index])
+                index: pool.submit(run_injection_chunk_metered, spec, config, chunks[index])
                 for index in pending
             }
             for index in list(pending):
@@ -641,43 +643,29 @@ def execute_plans_parallel(
                     pending.remove(index)
             pool.shutdown(wait=False, cancel_futures=True)
             attempt += 1
-            telemetry.counter_inc("campaign.retries")
-            cause = (
-                "chunk exceeded its hard deadline"
-                if isinstance(exc, TimeoutError)
-                else "worker process died"
-            )
             observe_events.emit(
                 "retry",
                 attempt=attempt,
-                cause=cause,
+                cause=(
+                    "chunk exceeded its hard deadline"
+                    if isinstance(exc, TimeoutError)
+                    else "worker process died"
+                ),
                 chunks_left=len(pending),
                 workers=pool_workers,
             )
             if attempt > retry.max_retries:
-                telemetry.counter_inc("campaign.degraded")
                 observe_events.emit(
                     "degrade", to_workers=1, serial_fallback=True, attempt=attempt
                 )
-                if annotate is not None:
-                    annotate(
-                        f"{cause}; retry budget exhausted after {attempt - 1} "
-                        f"retries — degrading to in-process serial execution"
-                    )
                 break
             if attempt >= retry.degrade_after and pool_workers > 1:
                 pool_workers = max(1, pool_workers // 2)
-                telemetry.counter_inc("campaign.degraded")
                 observe_events.emit(
                     "degrade",
                     to_workers=pool_workers,
                     serial_fallback=False,
                     attempt=attempt,
-                )
-            if annotate is not None:
-                annotate(
-                    f"{cause}; retry {attempt}/{retry.max_retries} "
-                    f"({len(pending)} chunks left, {pool_workers} workers)"
                 )
             sleep(retry.delay_s(attempt, jitter_rng))
         except BaseException:
@@ -687,39 +675,20 @@ def execute_plans_parallel(
             raise
 
     if pending:
-        # Serial in-process fallback (also the spec-less/journal-only
-        # path): same chunk runner, same RNG derivation, same results.
-        if local_state is not None:
-            workload, golden_output, golden_cycles = local_state
-        elif spec is not None:
-            workload, golden_output, golden_cycles = _workload_state(spec)
-        else:
-            raise ValueError(
-                "execute_plans_parallel needs a spec or local_state to run chunks"
-            )
-        monitor = monitor_for(
-            workload,
-            golden_output,
-            golden_cycles,
-            config,
-            fast_forward=fast_forward_for(spec),
-        )
+        # In-process execution (one worker, no spec, or the degraded
+        # fallback): same RNG derivation, same payload, same results.
+        monitor = monitor_for(*local_state, config, fast_forward=fast_forward_for(spec))
         for index in list(pending):
-            if tracer is not None:
-                fresh, previous = telemetry.swap_in_fresh_tracer()
-                try:
-                    results = run_chunk_on_monitor(monitor, config, chunks[index])
-                finally:
-                    telemetry.restore_tracer(previous)
-                collector.secure(index, (results, fresh.registry.snapshot()))
-            else:
-                collector.secure(index, run_chunk_on_monitor(monitor, config, chunks[index]))
+            chunk = chunks[index]
+            collector.secure(
+                index, meter_chunk(lambda: run_chunk_on_monitor(monitor, config, chunk))
+            )
             pending.remove(index)
 
     flat = collector.finish(len(chunks))
     # Boundary groups are ordered by first member, not contiguous by
     # plan index — put the flattened results back into injection order,
-    # so downstream statistics see exactly the serial path's sequence.
+    # so downstream statistics see the plans' own sequence.
     reordered: list[InjectionResult | None] = [None] * len(flat)
     for position, plan_index in enumerate(index for group in groups for index in group):
         reordered[plan_index] = flat[position]

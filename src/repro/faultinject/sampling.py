@@ -668,131 +668,104 @@ def run_stratified_campaign(
     """
     # Lazy import: campaign.run_campaign dispatches into this module, so
     # a module-level import either way would be circular.
-    from repro.faultinject.campaign import assemble_campaign
+    from repro.faultinject.campaign import assemble_campaign, campaign_subscribers
 
     _validate_stratified_config(config)
     ff = fast_forward_for(spec)
     stratification = build_stratification(config, golden_cycles, fast_forward=ff)
     state = _StratifiedState(stratification, config)
 
-    observe_events.emit(
-        "campaign_start",
-        mode="stratified",
-        kind=config.kind.value,
-        total=None,
-        workers=config.workers,
-        seed=config.seed,
-        journaled=journal_path is not None,
-        resume=resume,
-        cells=len(stratification.cells),
-        ci_width=config.ci_width,
-    )
-    heartbeat = (
-        telemetry.Heartbeat(
-            0,
-            label=f"campaign {config.kind.value} (stratified)",
-            interval_s=telemetry.resolve_heartbeat_interval(config.heartbeat_interval),
-            quiet=config.quiet or not telemetry.enabled(),
+    with campaign_subscribers(config):
+        observe_events.emit(
+            "campaign_start",
+            mode="stratified",
+            kind=config.kind.value,
+            total=None,
+            workers=config.workers,
+            seed=config.seed,
+            journaled=journal_path is not None,
+            resume=resume,
+            cells=len(stratification.cells),
+            ci_width=config.ci_width,
         )
-        if telemetry.enabled() or observe_events.enabled()
-        else None
-    )
-    annotate = heartbeat.annotate if heartbeat is not None else None
-    if annotate is not None:
-        annotate(
-            f"stratified sampling on: {len(stratification.cells)} cells, "
-            f"ci-width target {config.ci_width:g}"
+        observe_events.emit(
+            "note",
+            note=f"stratified sampling on: {len(stratification.cells)} cells, "
+            f"ci-width target {config.ci_width:g}",
         )
 
-    journal: CampaignJournal | None = None
-    replayed: list[list["InjectionResult"]] = []
-    if journal_path is not None:
-        journal, replayed, partial = _prepare_stratified_journal(
-            config, stratification, journal_path, resume
-        )
-        for round_results in replayed:
-            state.absorb_round(round_results)
-        if resume:
-            observe_events.emit(
-                "journal_resume",
-                replayed=len(replayed),
-                units=None,
-                injections=state.total_draws,
-                discarded_partial=partial,
+        journal: CampaignJournal | None = None
+        if journal_path is not None:
+            journal, replayed, partial = _prepare_stratified_journal(
+                config, stratification, journal_path, resume
             )
-            if annotate is not None:
-                note = f"resumed {len(replayed)} journaled round(s)"
-                if partial:
-                    note += " (discarded one torn record)"
-                annotate(note)
+            for round_results in replayed:
+                state.absorb_round(round_results)
+            if resume:
+                observe_events.emit(
+                    "journal_resume",
+                    replayed=len(replayed),
+                    units=None,
+                    injections=state.total_draws,
+                    discarded_partial=partial,
+                )
 
-    try:
-        with telemetry.span("campaign.execute"):
-            while True:
-                unconverged = state.unconverged()
-                if not unconverged:
-                    break
-                budget = state.budget_left()
-                if budget is not None and budget <= 0:
-                    state.budget_exhausted = True
-                    break
-                with telemetry.span("campaign.sampling.draw_round"):
-                    plans = state.plan_round()
-                if not plans:
-                    break
-                groups = (
-                    group_plan_indices(ff.boundary_index_for, plans)
-                    if ff is not None
-                    else None
-                )
-                workers = resolve_workers(
-                    config.workers,
-                    max_useful=min(len(plans), len(groups)) if groups else len(plans),
-                )
-                results = execute_plans_parallel(
-                    spec,
-                    config,
-                    plans,
-                    workers,
-                    local_state=(workload, golden_output, golden_cycles),
-                    groups=groups,
-                    annotate=annotate,
-                    index_base=state.total_draws,
-                )
-                if journal is not None:
-                    # Durability first: a round only counts once fsync'd.
-                    # May raise CampaignInterrupted (abort-after hook).
-                    journal.append_round(state.rounds_done, results)
-                state.absorb_round(results)
-                telemetry.counter_inc("campaign.sampling.rounds")
-                if annotate is not None:
-                    converged = sum(
-                        1 for s in state.cells if s.converged_round is not None
+        try:
+            with telemetry.span("campaign.execute"):
+                while True:
+                    unconverged = state.unconverged()
+                    if not unconverged:
+                        break
+                    budget = state.budget_left()
+                    if budget is not None and budget <= 0:
+                        state.budget_exhausted = True
+                        break
+                    with telemetry.span("campaign.sampling.draw_round"):
+                        plans = state.plan_round()
+                    if not plans:
+                        break
+                    groups = (
+                        group_plan_indices(ff.boundary_index_for, plans)
+                        if ff is not None
+                        else None
                     )
-                    annotate(
-                        f"round {state.rounds_done}: {state.total_draws} draws, "
-                        f"{converged}/{len(state.cells)} cells converged"
+                    workers = resolve_workers(
+                        config.workers,
+                        max_useful=min(len(plans), len(groups)) if groups else len(plans),
                     )
-    finally:
-        if journal is not None:
-            journal.close()
+                    results = execute_plans_parallel(
+                        spec,
+                        config,
+                        plans,
+                        workers,
+                        local_state=(workload, golden_output, golden_cycles),
+                        groups=groups,
+                        index_base=state.total_draws,
+                    )
+                    if journal is not None:
+                        # Durability first: a round only counts once fsync'd.
+                        # May raise CampaignInterrupted (abort-after hook).
+                        journal.append_round(state.rounds_done, results)
+                    state.absorb_round(results)
+        finally:
+            if journal is not None:
+                journal.close()
 
-    summary = state.summary()
-    telemetry.counter_inc("campaign.sampling.cells_converged", summary.cells_converged)
-    telemetry.counter_inc("campaign.sampling.draws_saved", summary.draws_saved())
-    with telemetry.span("campaign.assemble"):
-        campaign = assemble_campaign(config, state.results)
-    campaign.sampling = summary
-    observe_events.emit(
-        "campaign_finish",
-        total=campaign.counts.total,
-        outcomes={
-            "mask": campaign.counts.masked,
-            "sdc": campaign.counts.sdc,
-            "crash": campaign.counts.crash,
-            "hang": campaign.counts.hang,
-        },
-        rounds=summary.rounds,
-        cells_converged=summary.cells_converged,
-    )
-    return campaign
+        summary = state.summary()
+        with telemetry.span("campaign.assemble"):
+            campaign = assemble_campaign(config, state.results)
+        campaign.sampling = summary
+        observe_events.emit(
+            "campaign_finish",
+            total=campaign.counts.total,
+            outcomes={
+                "mask": campaign.counts.masked,
+                "sdc": campaign.counts.sdc,
+                "crash": campaign.counts.crash,
+                "hang": campaign.counts.hang,
+            },
+            rounds=summary.rounds,
+            cells_converged=summary.cells_converged,
+            draws_saved=summary.draws_saved(),
+        )
+        return campaign

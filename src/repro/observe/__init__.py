@@ -1,10 +1,8 @@
 """Live campaign observatory: event bus, status snapshots, flight recorder.
 
-Only the stdlib-only event API is re-exported here so that importing
-``repro.observe`` from the telemetry progress path cannot create an
-import cycle (``repro.telemetry`` imports ``progress`` at package
-import, and ``progress`` emits events through this package).  The
-heavier layers are explicit submodules:
+Only the stdlib-only event API is re-exported here, so the campaign
+engine can emit events without importing the heavier layers, which
+are explicit submodules:
 
 * :mod:`repro.observe.status` — crash-safe JSON status snapshots
 * :mod:`repro.observe.server` — zero-dependency ``/status`` + ``/metrics``

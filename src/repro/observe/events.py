@@ -1,13 +1,11 @@
-"""Typed campaign event bus: one subscriber API for live observability.
+"""Typed campaign event bus: the one emit point for campaign facts.
 
-The campaign engine — :mod:`repro.faultinject.campaign`, the parallel
-executor, the checkpoint journal and the stratified sampling loop —
-emits :class:`CampaignEvent` records describing everything an operator
-would want to watch: campaign start/finish, chunk/group/round
-completion, retries and degradation, watchdog hangs, journal
-checkpoints and resumes, stratum convergence, fan-out golden tails and
-heartbeat progress.  Subscribers (the status-snapshot writer, the
-flight recorder, tests) receive every event in emission order.
+The campaign engine emits every campaign-level fact once, as a
+:class:`CampaignEvent`: start/finish, chunk/group/round completion,
+retries and degradation, watchdog hangs, journal checkpoints and
+resumes, stratum convergence, fan-out golden tails and banner notes.
+The status writer, flight recorder, stderr heartbeat and telemetry
+counter table are all subscribers, so they cannot disagree.
 
 Determinism contract — the same one tracing and probes honour:
 
@@ -20,8 +18,9 @@ Determinism contract — the same one tracing and probes honour:
   campaign.  Observed campaigns are bit-identical to unobserved ones
   at any worker count and across interrupt/resume (pinned by
   ``tests/observe/test_observed_equivalence.py``).
-* Events are emitted **parent-side only**: worker processes never have
-  a bus installed, so fan-out never duplicates events.
+* **Worker events ride back with their chunk.**  A chunk runs under
+  :func:`recording`; the parent re-publishes its events when it
+  secures the chunk.
 
 The payload vocabulary is versioned like the journal schema:
 ``EVENT_SCHEMA_VERSION`` bumps whenever a kind is removed or a payload
@@ -31,13 +30,14 @@ full schema is documented in ``docs/observability.md``.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 #: Bump when an event kind is removed or a payload field changes
 #: meaning; adding new kinds or payload fields is backward compatible.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 #: Every event kind the engine emits (the typed vocabulary).  Tests
 #: assert emitted kinds stay inside this set; subscribers may rely on
@@ -46,8 +46,7 @@ EVENT_KINDS = frozenset(
     {
         "campaign_start",  # one campaign began (mode, total, workers)
         "campaign_finish",  # final outcome counts
-        "injection_done",  # one injection finished (serial loop)
-        "chunk_done",  # one index chunk secured (parallel/journaled)
+        "chunk_done",  # one index chunk secured (no snapshot tape)
         "group_done",  # one boundary group secured (fan-out mode)
         "round_done",  # one stratified sampling round absorbed
         "retry",  # a worker-pool failure triggered a chunk retry
@@ -57,8 +56,7 @@ EVENT_KINDS = frozenset(
         "journal_resume",  # a resume replayed journaled work
         "stratum_converged",  # one stratified cell reached its CI target
         "golden_tail",  # fan-out synthesized a golden tail
-        "heartbeat",  # rate-limited progress (done/total/rate/ETA)
-        "note",  # free-form annotation (probe/fast-forward/... banners)
+        "note",  # banner annotation (probes, fan-out, stratified grid)
         "interrupt",  # the campaign stopped early (abort hook, Ctrl-C)
     }
 )
@@ -184,3 +182,20 @@ def emit(kind: str, /, **payload: object) -> None:
     bus = _BUS
     if bus is not None:
         bus.publish(kind, payload)
+
+
+@contextlib.contextmanager
+def recording() -> Iterator[list[tuple[str, dict]]]:
+    """Keep the events emitted inside the block as ``(kind, payload)``.
+
+    A private bus stands in for the installed one (which a forked pool
+    worker may have inherited), so nothing is delivered until the caller
+    re-publishes the list with :func:`emit`.
+    """
+    previous = current()
+    recorded: list[tuple[str, dict]] = []
+    install().subscribe(lambda event: recorded.append((event.kind, dict(event.payload))))
+    try:
+        yield recorded
+    finally:
+        restore(previous)

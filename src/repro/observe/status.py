@@ -45,7 +45,7 @@ COUNTER_KEYS = (
 
 #: Event kinds that carry a completed unit of work (``done`` totals and
 #: an ``outcomes`` tally in their payload).
-_PROGRESS_KINDS = ("injection_done", "chunk_done", "group_done", "round_done")
+_PROGRESS_KINDS = ("chunk_done", "group_done", "round_done")
 
 
 class StatusWriter:

@@ -15,6 +15,18 @@ on :func:`repro.telemetry.enabled`).
 
 from __future__ import annotations
 
+#: Campaign event kind -> ``(counter, payload field holding the
+#: increment)``; ``None`` counts the event once.  See ``count_event``.
+EVENT_COUNTERS: dict[str, tuple[str, str | None]] = {
+    "retry": ("campaign.retries", None),
+    "degrade": ("campaign.degraded", None),
+    "watchdog_hang": ("campaign.watchdog_hangs", "count"),
+    "golden_tail": ("campaign.fanout.golden_tail", None),
+    "round_done": ("campaign.sampling.rounds", None),
+    "stratum_converged": ("campaign.sampling.cells_converged", None),
+    "campaign_finish": ("campaign.sampling.draws_saved", "draws_saved"),
+}
+
 
 class MetricsRegistry:
     """Named counters (ints), gauges (floats) and timers (wall seconds).
@@ -40,6 +52,16 @@ class MetricsRegistry:
     def inc(self, name: str, by: int = 1) -> None:
         """Add ``by`` to counter ``name`` (created at 0)."""
         self._counters[name] = self._counters.get(name, 0) + by
+
+    def count_event(self, event) -> None:
+        """Event-bus subscriber: bump the counter ``EVENT_COUNTERS`` names."""
+        entry = EVENT_COUNTERS.get(event.kind)
+        if entry is None:
+            return
+        name, field = entry
+        by = 1 if field is None else int(event.payload.get(field, 0))
+        if by:
+            self.inc(name, by)
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value``."""

@@ -1,22 +1,26 @@
 """Campaign progress heartbeats: injections/sec, ETA, cache hit rate.
 
-A :class:`Heartbeat` prints at most one line per ``interval_s`` to
-``stream`` (stderr by default, so machine-readable stdout output stays
-clean), plus a final line when the campaign completes::
+A :class:`Heartbeat` is an event-bus subscriber (see
+:mod:`repro.observe.events`).  It prints at most one progress line per
+``interval_s`` to ``stream`` (stderr by default, so machine-readable
+stdout output stays clean), plus a final line when the campaign
+completes::
 
     [campaign gpr] 120/400 injections | 5.3 inj/s | ETA 53s | golden-cache 7/8 hits
+
+Notes, resumes, retries and degradation print at once on their own
+line.  A stratified campaign's total is unknown up front, so its lines
+carry no ETA and stay rate-limited until the campaign finishes.
 
 The cadence is configurable: ``--heartbeat-interval`` on the CLI or the
 ``REPRO_HEARTBEAT_INTERVAL`` environment variable (validated the same
 way as ``REPRO_WORKERS`` — a bad value raises a ValueError naming its
-source).  ``quiet=True`` suppresses the stderr lines entirely while
-still publishing ``heartbeat``/``note`` events on the observe event bus
-(see :mod:`repro.observe.events`), so ``--quiet`` campaigns remain
-fully watchable through ``--status``.
+source).  ``quiet=True`` suppresses the lines; the heartbeat never
+publishes anything, so ``--status`` and ``/metrics`` see the same
+events either way.
 
-Heartbeats are created by the campaign engine only while telemetry or
-an observe bus is enabled, and only observe — they never touch campaign
-state.
+The campaign drivers subscribe a heartbeat only while telemetry is on,
+and it only observes — it never touches campaign state.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import os
 import sys
 import time
 from typing import Callable, TextIO
-
-from repro.observe import events as observe_events
 
 #: Environment override for the heartbeat cadence (seconds).
 HEARTBEAT_INTERVAL_ENV = "REPRO_HEARTBEAT_INTERVAL"
@@ -69,20 +71,25 @@ def _format_eta(seconds: float) -> str:
     return f"{seconds:.0f}s"
 
 
+#: Event kinds whose ``done`` field is the campaign's cumulative count.
+_PROGRESS_KINDS = ("chunk_done", "group_done", "round_done")
+
+#: Rare events printed at once, as ``<kind>: key=value ...``.
+_NOTED_KINDS = ("journal_resume", "retry", "degrade")
+
+
 class Heartbeat:
-    """Rate-limited progress reporting for a fixed-size unit of work."""
+    """Rate-limited progress lines from one campaign's events."""
 
     def __init__(
         self,
-        total: int,
-        label: str = "campaign",
         interval_s: float = DEFAULT_HEARTBEAT_INTERVAL,
         stream: TextIO | None = None,
         clock: Callable[[], float] = time.perf_counter,
         quiet: bool = False,
     ) -> None:
-        self.total = total
-        self.label = label
+        self.total: int | None = None
+        self.label = "campaign"
         self.interval_s = _parse_interval(interval_s, "heartbeat interval")
         self.stream = stream if stream is not None else sys.stderr
         self.clock = clock
@@ -92,16 +99,32 @@ class Heartbeat:
         self.lines_emitted = 0
         self.note = ""
 
-    def annotate(self, note: str) -> None:
-        """Attach a status note (resume/retry/degradation events).
+    def __call__(self, event) -> None:
+        payload = event.payload
+        kind = event.kind
+        if kind == "campaign_start":
+            self.total = payload.get("total")
+            stratified = " (stratified)" if payload.get("mode") == "stratified" else ""
+            self.label = f"campaign {payload.get('kind', '')}{stratified}".rstrip()
+            self.start = self.clock()
+        elif kind in _PROGRESS_KINDS:
+            self.update(int(payload["done"]))
+        elif kind == "campaign_finish":
+            if self.total is None:
+                self.update(int(payload["total"]), final=True)
+        elif kind == "note":
+            self.annotate(str(payload["note"]))
+        elif kind in _NOTED_KINDS:
+            fields = " ".join(f"{key}={value}" for key, value in payload.items())
+            self.annotate(f"{kind.replace('_', ' ')}: {fields}")
 
-        The note prints immediately on its own line — these events are
-        rare and operators should see them when they happen — and is
-        appended to subsequent progress lines until replaced.  It is
-        also published as a ``note`` event for bus subscribers.
+    def annotate(self, note: str) -> None:
+        """Print a status note on its own line now.
+
+        The note is also appended to later progress lines until
+        replaced.
         """
         self.note = note
-        observe_events.emit("note", label=self.label, note=note)
         if not self.quiet:
             print(f"[{self.label}] {note}", file=self.stream)
             self.lines_emitted += 1
@@ -115,35 +138,29 @@ class Heartbeat:
             return ""
         return f" | golden-cache {stats.hits}/{lookups} hits"
 
-    def update(self, done: int) -> None:
-        """Report ``done`` completed units; prints/publishes when due."""
+    def update(self, done: int, final: bool = False) -> None:
+        """Report ``done`` completed units; prints when due.
+
+        The last unit of a known total always prints; so does ``final``.
+        """
         now = self.clock()
-        final = done >= self.total
+        final = final or (self.total is not None and done >= self.total)
         if not final and now - self._last_emit < self.interval_s:
             return
         self._last_emit = now
-        elapsed = max(now - self.start, 1e-9)
-        rate = done / elapsed
-        if final or rate <= 0:
-            eta = "0s"
-            eta_s = 0.0
-        else:
-            eta_s = (self.total - done) / rate
-            eta = _format_eta(eta_s)
-        observe_events.emit(
-            "heartbeat",
-            label=self.label,
-            done=done,
-            total=self.total,
-            rate=round(rate, 3),
-            eta_s=round(eta_s, 3),
-        )
         if self.quiet:
             return
+        elapsed = max(now - self.start, 1e-9)
+        rate = done / elapsed
+        if self.total is None:
+            progress = f"{done} injections | {rate:.1f} inj/s"
+        else:
+            eta = "0s" if final or rate <= 0 else _format_eta((self.total - done) / rate)
+            progress = f"{done}/{self.total} injections | {rate:.1f} inj/s | ETA {eta}"
         note_suffix = f" | {self.note}" if self.note else ""
         print(
-            f"[{self.label}] {done}/{self.total} injections | "
-            f"{rate:.1f} inj/s | ETA {eta}{self._cache_suffix()}{note_suffix}",
+            f"[{self.label}] {progress}{self._cache_suffix()}{note_suffix}",
             file=self.stream,
         )
         self.lines_emitted += 1
+

@@ -128,6 +128,17 @@ class TestCLI:
         assert code == 0
         assert len(calls) == 1
 
+    def test_campaign_rejects_zero_frames_before_rendering(self, monkeypatch, capsys):
+        from repro.video import synthetic
+
+        calls = []
+        monkeypatch.setattr(synthetic, "make_input", lambda *a, **k: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--frames", "0", "-n", "2"])
+        assert exc.value.code == 2
+        assert "--frames" in capsys.readouterr().err
+        assert calls == []
+
     def test_experiment_command(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         code = main(["experiment", "fig08", "--scale", "tiny"])

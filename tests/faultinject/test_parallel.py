@@ -256,12 +256,14 @@ class TestMeteredChunkTracerRestore:
         """A chunk that dies mid-run must not leak its swapped-in tracer.
 
         Regression guard: ``run_injection_chunk_metered`` swaps a fresh
-        tracer in for the chunk's duration; if the chunk raises, the
-        parent's tracer must still be restored (try/finally), otherwise
-        every later stage in the process meters into a zombie registry.
+        tracer and a recording event bus in for the chunk's duration; if
+        the chunk raises, the parent's tracer and bus must still be
+        restored (try/finally), otherwise every later stage in the
+        process meters into a zombie registry.
         """
         from repro import telemetry
         from repro.faultinject.parallel import run_injection_chunk_metered
+        from repro.observe import events
 
         spec = CrashingSpec()
         _, golden, cycles = spec.build()
@@ -270,6 +272,7 @@ class TestMeteredChunkTracerRestore:
         with pytest.raises(SystemError, match="unclassifiable"):
             run_injection_chunk_metered(spec, config, list(enumerate(plans)))
         assert telemetry.get_tracer() is fresh_tracer
+        assert events.current() is None
 
     def test_successful_chunk_also_restores(self, fresh_tracer):
         from repro import telemetry
@@ -278,11 +281,12 @@ class TestMeteredChunkTracerRestore:
         spec = ToyWorkloadSpec()
         config = CampaignConfig(n_injections=1, kind=RegKind.GPR, seed=0)
         plans = [InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)]
-        results, snapshot = run_injection_chunk_metered(
+        results, snapshot, recorded = run_injection_chunk_metered(
             spec, config, list(enumerate(plans))
         )
         assert len(results) == 1
         assert snapshot["counters"].get("campaign.runs") == 1
+        assert recorded == []  # the toy workload has no tape, so no golden tails
         assert telemetry.get_tracer() is fresh_tracer
 
 

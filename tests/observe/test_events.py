@@ -14,9 +14,9 @@ class TestEventBus:
         seen = []
         bus.subscribe(seen.append)
         bus.publish("note", {"note": "a"})
-        bus.publish("heartbeat", {"done": 1})
+        bus.publish("chunk_done", {"done": 1})
         bus.publish("note", {"note": "b"})
-        assert [event.kind for event in seen] == ["note", "heartbeat", "note"]
+        assert [event.kind for event in seen] == ["note", "chunk_done", "note"]
         assert [event.seq for event in seen] == [0, 1, 2]
         assert bus.events_emitted == 3
 
@@ -94,9 +94,29 @@ class TestModuleBus:
         assert seen[0].payload == {"kind": "gpr", "total": 10}
 
 
+class TestRecording:
+    def test_recorded_events_reach_no_subscriber_until_republished(self):
+        outer = events.install()
+        seen = []
+        outer.subscribe(seen.append)
+        try:
+            with events.recording() as recorded:
+                events.emit("golden_tail", frame=3)
+            assert seen == []
+            assert events.current() is outer
+            for kind, payload in recorded:
+                events.emit(kind, **payload)
+        finally:
+            events.uninstall()
+        assert recorded == [("golden_tail", {"frame": 3})]
+        assert [(event.kind, dict(event.payload)) for event in seen] == recorded
+
+
 class TestSchema:
     def test_schema_version_pinned(self):
-        assert EVENT_SCHEMA_VERSION == 1
+        # v2 dropped the serial loop's ``injection_done`` and the
+        # heartbeat's own ``heartbeat`` events.
+        assert EVENT_SCHEMA_VERSION == 2
 
     def test_kind_vocabulary_pinned(self):
         # Removing a kind (or renaming one) is a schema break; this
@@ -104,7 +124,6 @@ class TestSchema:
         assert EVENT_KINDS == {
             "campaign_start",
             "campaign_finish",
-            "injection_done",
             "chunk_done",
             "group_done",
             "round_done",
@@ -115,7 +134,6 @@ class TestSchema:
             "journal_resume",
             "stratum_converged",
             "golden_tail",
-            "heartbeat",
             "note",
             "interrupt",
         }

@@ -127,6 +127,31 @@ class TestBitIdentical:
         assert bus.subscriber_errors > 0
 
 
+class TestWorkerEventsRideBack:
+    def test_golden_tails_agree_at_any_worker_count(self, tmp_path, fresh_tracer):
+        """Fan-out golden tails happen in workers; status and registry see them."""
+        from repro.faultinject.parallel import VSWorkloadSpec
+        from repro.summarize.config import VSConfig
+        from repro.video.synthetic import cached_input
+
+        spec = VSWorkloadSpec.for_stream(cached_input("input2", n_frames=12), VSConfig())
+        workload, golden, cycles = spec.build()
+        tails = {}
+        for workers in (1, 2):
+            before = fresh_tracer.registry.counter("campaign.fanout.golden_tail")
+            status = tmp_path / f"status-{workers}.json"
+            with observe_campaign(status):
+                run_campaign(
+                    workload, golden, cycles, _config(n_injections=24, workers=workers),
+                    spec=spec,
+                )
+            counted = fresh_tracer.registry.counter("campaign.fanout.golden_tail") - before
+            tails[workers] = read_status(status)["counters"]["golden_tails"]
+            assert tails[workers] == counted
+        assert tails[1] > 0
+        assert tails[1] == tails[2]
+
+
 class TestEmittedEvents:
     def _collect(self, runner) -> list:
         bus = events.install()
@@ -147,7 +172,8 @@ class TestEmittedEvents:
         assert kinds <= EVENT_KINDS
         assert "campaign_start" in kinds
         assert "campaign_finish" in kinds
-        assert "injection_done" in kinds
+        # No tape: the in-process campaign reports index chunks.
+        assert "chunk_done" in kinds
 
     def test_parallel_emits_chunk_and_checkpoint_events(self, toy, tmp_path):
         spec, golden, cycles = toy

@@ -144,7 +144,7 @@ class TestSnapshot:
         assert validate_status(writer.snapshot()) == []
         bus.publish("campaign_start", {"total": 4})
         assert validate_status(writer.snapshot()) == []
-        bus.publish("injection_done", {"done": 1, "outcomes": {"sdc": 1}})
+        bus.publish("chunk_done", {"done": 1, "outcomes": {"sdc": 1}})
         assert validate_status(writer.snapshot()) == []
         bus.publish("campaign_finish", {"total": 4, "outcomes": {"mask": 3, "sdc": 1}})
         assert validate_status(writer.snapshot()) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 
+from repro.observe.events import CampaignEvent
 from repro.telemetry.progress import Heartbeat, _format_eta
 
 
@@ -21,8 +22,8 @@ class FakeClock:
 def _heartbeat(total: int, interval_s: float = 2.0):
     clock = FakeClock()
     stream = io.StringIO()
-    beat = Heartbeat(total, label="campaign gpr", interval_s=interval_s,
-                     stream=stream, clock=clock)
+    beat = Heartbeat(interval_s=interval_s, stream=stream, clock=clock)
+    beat(CampaignEvent(0, 0.0, "campaign_start", {"kind": "gpr", "total": total}))
     return beat, clock, stream
 
 
@@ -143,50 +144,146 @@ class TestIntervalResolution:
         import pytest
 
         with pytest.raises(ValueError, match="heartbeat interval"):
-            Heartbeat(10, interval_s=0.0)
+            Heartbeat(interval_s=0.0)
 
 
 class TestQuietMode:
-    def _quiet_heartbeat(self, total: int):
+    """The heartbeat reads campaign events and publishes none of its own."""
+
+    def _run(self, quiet: bool):
+        from repro.observe import events
+
         clock = FakeClock()
         stream = io.StringIO()
-        beat = Heartbeat(total, label="campaign gpr", interval_s=2.0,
-                         stream=stream, clock=clock, quiet=True)
-        return beat, clock, stream
-
-    def test_quiet_suppresses_lines_but_emits_events(self):
-        from repro.observe import events
-
-        bus = events.install()
+        beat = Heartbeat(interval_s=2.0, stream=stream, clock=clock, quiet=quiet)
+        bus = events.EventBus()
         seen = []
+        bus.subscribe(beat)
         bus.subscribe(seen.append)
-        try:
-            beat, clock, stream = self._quiet_heartbeat(total=10)
-            clock.advance(1.0)
-            beat.update(5)
-            beat.annotate("resumed from journal")
-            beat.update(10)
-        finally:
-            events.uninstall()
+        bus.publish("campaign_start", {"mode": "uniform", "kind": "gpr", "total": 10})
+        clock.advance(1.0)
+        bus.publish("chunk_done", {"done": 5})
+        bus.publish("note", {"note": "boundary fan-out on (2 groups)"})
+        bus.publish("chunk_done", {"done": 10})
+        return beat, stream, bus, seen
+
+    def test_quiet_suppresses_lines_but_events_still_flow(self):
+        beat, stream, bus, seen = self._run(quiet=True)
         assert stream.getvalue() == ""
         assert beat.lines_emitted == 0
-        kinds = [event.kind for event in seen]
-        assert kinds == ["heartbeat", "note", "heartbeat"]
-        assert seen[0].payload["done"] == 5
-        assert seen[1].payload["note"] == "resumed from journal"
+        assert [event.kind for event in seen] == [
+            "campaign_start", "chunk_done", "note", "chunk_done"
+        ]
+        assert bus.events_emitted == 4
 
-    def test_loud_heartbeat_also_publishes_events(self):
+    def test_loud_heartbeat_prints_from_events_and_publishes_none(self):
+        beat, stream, bus, seen = self._run(quiet=False)
+        lines = stream.getvalue().splitlines()
+        assert lines == [
+            "[campaign gpr] 5/10 injections | 5.0 inj/s | ETA 1s",
+            "[campaign gpr] boundary fan-out on (2 groups)",
+            "[campaign gpr] 10/10 injections | 10.0 inj/s | ETA 0s"
+            " | boundary fan-out on (2 groups)",
+        ]
+        assert bus.events_emitted == 4
+
+    def test_failures_print_as_notes(self):
         from repro.observe import events
 
+        stream = io.StringIO()
+        beat = Heartbeat(stream=stream, clock=FakeClock())
+        bus = events.EventBus()
+        bus.subscribe(beat)
+        bus.publish("journal_resume", {"replayed": 3, "units": 6})
+        bus.publish("retry", {"attempt": 1, "cause": "worker process died"})
+        bus.publish("degrade", {"to_workers": 1, "serial_fallback": True})
+        assert stream.getvalue().splitlines() == [
+            "[campaign] journal resume: replayed=3 units=6",
+            "[campaign] retry: attempt=1 cause=worker process died",
+            "[campaign] degrade: to_workers=1 serial_fallback=True",
+        ]
+
+
+class TestCampaignHeartbeat:
+    """The heartbeat a traced campaign subscribes, end to end."""
+
+    def test_quiet_traced_campaign_prints_nothing_but_status_counts_retries(
+        self, fresh_tracer, tmp_path, capsys
+    ):
+        from repro.faultinject.campaign import CampaignConfig, run_campaign
+        from repro.faultinject.registers import RegKind
+        from repro.observe.session import observe_campaign
+        from repro.observe.status import read_status
+        from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
+        from tests.faultinject.test_resilience import FAST_RETRY, KillOnceSpec
+
+        _, golden, cycles = ToyWorkloadSpec().build()
+        status = tmp_path / "status.json"
+        with observe_campaign(status):
+            run_campaign(
+                toy_workload,
+                golden,
+                cycles,
+                CampaignConfig(
+                    n_injections=30,
+                    kind=RegKind.GPR,
+                    seed=5,
+                    workers=3,
+                    retry=FAST_RETRY,
+                    quiet=True,
+                ),
+                spec=KillOnceSpec(str(tmp_path / "killed-once")),
+            )
+        assert "[campaign" not in capsys.readouterr().err
+        retries = read_status(status)["counters"]["retries"]
+        assert retries >= 1
+        assert fresh_tracer.registry.counter("campaign.retries") == retries
+
+    def test_stratified_heartbeat_is_rate_limited(self, fresh_tracer, capsys):
+        from repro.faultinject.campaign import CampaignConfig, run_campaign
+        from repro.faultinject.registers import RegKind
+        from repro.observe import events
+        from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
+
+        _, golden, cycles = ToyWorkloadSpec().build()
         bus = events.install()
-        seen = []
-        bus.subscribe(seen.append)
+        progress = []
+        bus.subscribe(
+            lambda event: progress.append(event)
+            if event.kind in ("chunk_done", "round_done")
+            else None
+        )
         try:
-            beat, clock, stream = _heartbeat(total=10)
-            clock.advance(1.0)
-            beat.update(5)
+            campaign = run_campaign(
+                toy_workload,
+                golden,
+                cycles,
+                CampaignConfig(
+                    n_injections=1,
+                    kind=RegKind.GPR,
+                    seed=9,
+                    workers=1,
+                    sampling="stratified",
+                    ci_width=0.1,
+                    round_size=4,
+                    strata=(2, 2, 2),
+                    max_injections=96,
+                    heartbeat_interval=3600.0,
+                ),
+            )
         finally:
             events.uninstall()
-        assert "5/10" in stream.getvalue()
-        assert [event.kind for event in seen] == ["heartbeat"]
-        assert seen[0].payload["total"] == 10
+        lines = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if " injections | " in line
+        ]
+        # The total is unknown up front: one line when progress starts,
+        # one when the campaign finishes, none per round or chunk.
+        assert campaign.sampling.rounds > 2
+        assert len(progress) > 2 * campaign.sampling.rounds
+        assert len(lines) == 2
+        assert lines[0].startswith("[campaign gpr (stratified)] ")
+        assert lines[-1].startswith(
+            f"[campaign gpr (stratified)] {campaign.counts.total} injections | "
+        )
