@@ -16,7 +16,8 @@ stage-time table from such a file.
 
 ``campaign`` additionally takes ``--journal PATH`` (fsync'd checkpoint
 journal for crash safety), ``--resume PATH`` (finish an interrupted
-journaled campaign; exits 3 when interrupted by the test hook) and
+journaled campaign; exits 3 when interrupted by the test hook, 2 when
+the journal belongs to another campaign or workload) and
 ``--watchdog-factor F`` (wall-clock hang deadline as a multiple of the
 golden run's wall time) — see ``docs/resilience.md``.
 
@@ -70,6 +71,7 @@ from repro.analysis.reporting import campaign_to_dict, save_json
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.parallel import VSWorkloadSpec, default_workers
 from repro.faultinject.registers import RegKind
+from repro.faultinject.sampling import SAMPLING_MODES
 from repro.imaging.io import save_pgm
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import ALGORITHM_FACTORIES, config_for
@@ -175,7 +177,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a fault-injection campaign and print the resiliency profile."""
     import time
 
-    from repro.faultinject.journal import CampaignInterrupted
+    from repro.faultinject.journal import CampaignInterrupted, JournalError
     from repro.faultinject.watchdog import WatchdogPolicy
     from repro.observe.session import observe_campaign, resolve_status_path
 
@@ -263,6 +265,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             if observing and session is not None and session.flight_dumped is not None:
                 print(f"flight-recorder dump at {session.flight_dumped}")
             return 3
+        except JournalError as exc:
+            print(f"repro campaign: {exc}", file=sys.stderr)
+            return 2
         if observing and session is not None:
             if status_path is not None:
                 print(f"status snapshot at {status_path}")
@@ -622,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--sampling",
         default="uniform",
-        choices=["uniform", "stratified"],
+        choices=SAMPLING_MODES,
         help="plan-drawing strategy: 'uniform' (the paper's brute-force "
         "draw, byte-identical across releases for a given seed) or "
         "'stratified' (adaptive rounds over register/bit/boundary cells "

@@ -22,13 +22,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.faultinject.injector import InjectionPlan, random_plan
-from repro.faultinject.journal import (
-    CampaignJournal,
-    JournalError,
-    config_fingerprint,
-    load_journal,
-    require_sampling_mode,
-)
+from repro.faultinject.journal import open_journal
 from repro.faultinject.monitor import InjectionResult, Workload
 from repro.faultinject.outcomes import OutcomeCounts, RunningRates
 from repro.faultinject.parallel import (
@@ -204,51 +198,11 @@ def assemble_campaign(
     )
 
 
-def _prepare_journal(
-    config: CampaignConfig,
-    n_plans: int,
-    journal_path: Path,
-    resume: bool,
-    groups: list[list[int]],
-) -> tuple[CampaignJournal, list[list[int]], dict[int, list[InjectionResult]], bool]:
-    """Open (or reopen) the journal.
-
-    Returns ``(journal, groups, completed, partial)``.  On resume the
-    groups are whatever the journal header recorded: the original run's
-    dispatch must be replayed verbatim, since index chunking depends on
-    the original worker count.
-    """
-    journal_path = Path(journal_path)
-    if not resume:
-        journal = CampaignJournal.create(journal_path, config, groups=groups)
-        return journal, groups, {}, False
-
-    state = load_journal(journal_path)
-    # Mode mixing gets its own targeted error before the generic
-    # fingerprint comparison (which would also refuse it, less clearly).
-    require_sampling_mode(state.fingerprint, config, journal_path)
-    fingerprint = config_fingerprint(config)
-    if state.fingerprint != fingerprint:
-        raise JournalError(
-            f"journal {journal_path} was written by a different campaign "
-            f"configuration (journal {state.fingerprint} vs requested "
-            f"{fingerprint}); refusing to mix results"
-        )
-    covered = sorted(index for group in state.groups for index in group)
-    if covered != list(range(n_plans)):
-        raise JournalError(
-            f"journal {journal_path} dispatch groups do not cover the "
-            f"campaign's {n_plans} injections"
-        )
-    journal = CampaignJournal.append_to(journal_path, chunks_written=len(state.chunks))
-    return journal, state.groups, state.chunks, state.discarded_partial
-
-
 @contextlib.contextmanager
 def campaign_subscribers(config: CampaignConfig) -> Iterator[None]:
     """Subscribe the heartbeat and the counter table while tracing is on.
 
-    Both campaign drivers run inside this.  A bus is installed only if
+    Every campaign runs inside this.  A bus is installed only if
     none is, and the previous one is restored on exit; an observed
     campaign's status writer and flight recorder thus share one bus,
     and one stream of events, with the telemetry counters and stderr.
@@ -276,6 +230,26 @@ def campaign_subscribers(config: CampaignConfig) -> Iterator[None]:
         observe_events.restore(previous)
 
 
+def _dispatch(
+    plans: list[InjectionPlan], fast_forward, requested_workers: int | None
+) -> tuple[list[list[int]], int]:
+    """Group one round's plans for dispatch and clamp the pool to the groups.
+
+    With a tape, plans are grouped by resume boundary so each group lands
+    whole on one worker; without one, into contiguous index chunks.  More
+    workers than groups only buys idle startup cost.
+    """
+    if fast_forward is None:
+        workers = resolve_workers(requested_workers, max_useful=len(plans))
+        return index_groups(len(plans), workers), workers
+    with telemetry.span("campaign.group_plans"):
+        groups = group_plan_indices(fast_forward.boundary_index_for, plans)
+    workers = resolve_workers(
+        requested_workers, max_useful=min(len(plans), max(1, len(groups)))
+    )
+    return groups, workers
+
+
 def run_campaign(
     workload: Workload,
     golden_output: np.ndarray,
@@ -290,10 +264,19 @@ def run_campaign(
     Fully deterministic given ``config.seed``: plans are drawn from a
     seeded generator and each run's injector RNG is derived from it.
 
-    Every campaign is one :func:`execute_plans_parallel` call.  With a
-    snapshot tape (``spec`` is a picklable recipe offering one, see
-    :mod:`repro.faultinject.parallel`) the plans are grouped by resume
-    boundary; without one, into contiguous index chunks.  When the
+    A campaign is a loop of rounds, and each round is one
+    :func:`execute_plans_parallel` call.  A uniform campaign is a single
+    round of :func:`draw_plans`.  ``config.sampling="stratified"`` draws
+    its rounds from the adaptive planner (see
+    :mod:`repro.faultinject.sampling`): draws are stratified over
+    (register-class x bit-octet x resume-boundary) cells, and rounds go on
+    until every cell's Wilson-CI width converges or the draw budget is
+    spent.  The default uniform mode draws plans byte-identically to
+    previous releases.
+
+    With a snapshot tape (``spec`` is a picklable recipe offering one,
+    see :mod:`repro.faultinject.parallel`) a round's plans are grouped by
+    resume boundary; without one, into contiguous index chunks.  When the
     resolved worker count exceeds 1 the groups are sharded across a
     process pool and reassembled in order — the result is bit-identical
     at any worker count.  Worker deaths and stalled chunks retry under
@@ -301,106 +284,139 @@ def run_campaign(
     than aborting (see ``docs/resilience.md``).  ``spec=None`` runs
     every injection in full: the test oracle.
 
-    ``journal_path`` makes the campaign **crash-safe**: every completed
-    chunk is durably appended (fsync'd) to a JSONL checkpoint journal.
-    ``resume=True`` replays the journal's completed chunks — after
-    validating that its config fingerprint matches — and executes only
-    the remainder, producing a result bit-identical to an uninterrupted
-    run.  A torn trailing record from a mid-write crash is detected and
-    discarded; that chunk simply re-runs.
+    ``journal_path`` makes the campaign **crash-safe**: a uniform
+    campaign durably appends (fsync's) every completed chunk to a JSONL
+    checkpoint journal, a stratified one every completed round, since
+    round ``k+1``'s draws depend on round ``k``.  ``resume=True`` replays
+    the journal — after :func:`~repro.faultinject.journal.open_journal`
+    has checked that it was written by this campaign on this workload —
+    and executes only the remainder, producing a result bit-identical to
+    an uninterrupted run.  A torn trailing record from a mid-write crash
+    is detected and discarded; that chunk or round simply re-runs.
 
     Campaign facts go out as events on the observe bus.  With telemetry
     enabled (see :mod:`repro.telemetry`) the campaign additionally
     records phase spans, counters kept from those events and a
     progress heartbeat on stderr — none of which feed back into the
     campaign, so traced and untraced runs produce identical results.
-
-    ``config.sampling="stratified"`` dispatches to the adaptive planner
-    (see :mod:`repro.faultinject.sampling`): draws are stratified over
-    (register-class x bit-octet x resume-boundary) cells and each cell
-    stops once its Wilson-CI width converges.  The default uniform mode
-    is untouched — plans stay byte-identical to previous releases.
     """
-    if config.sampling not in ("uniform", "stratified"):
-        raise ValueError(
-            f"sampling must be 'uniform' or 'stratified', got {config.sampling!r}"
-        )
-    if config.sampling == "stratified":
-        from repro.faultinject.sampling import run_stratified_campaign
+    # Lazy import: sampling imports repro.analysis, whose experiments
+    # import this module.
+    from repro.faultinject.sampling import (
+        SAMPLING_MODES,
+        _StratifiedState,
+        build_stratification,
+    )
 
-        return run_stratified_campaign(
-            workload,
-            golden_output,
-            golden_cycles,
-            config,
-            spec=spec,
-            journal_path=journal_path,
-            resume=resume,
-        )
+    if config.sampling not in SAMPLING_MODES:
+        raise ValueError(f"sampling must be one of {SAMPLING_MODES}, got {config.sampling!r}")
     with campaign_subscribers(config):
-        workers = resolve_workers(config.workers, max_useful=config.n_injections)
-        with telemetry.span("campaign.draw_plans"):
-            plans = draw_plans(config, golden_cycles)
-
-        # Group the plans by resume boundary so each group lands whole on
-        # one worker, and clamp the pool — more workers than groups only
-        # buys idle startup cost.  No tape: contiguous index chunks.
         fast_forward = fast_forward_for(spec)
-        if fast_forward is not None:
-            with telemetry.span("campaign.group_plans"):
-                groups = group_plan_indices(fast_forward.boundary_index_for, plans)
-            workers = resolve_workers(
-                config.workers, max_useful=min(len(plans), max(1, len(groups)))
+        planner: _StratifiedState | None = None
+        if config.sampling == "stratified":
+            planner = _StratifiedState(
+                build_stratification(config, golden_cycles, fast_forward), config
+            )
+            # Rounds clamp the pool to their own groups; the start event
+            # reports the resolved request.
+            workers = resolve_workers(config.workers)
+            layout = {"stratification": planner.stratification.to_dict()}
+            start = {"cells": len(planner.cells), "ci_width": config.ci_width}
+            banner = (
+                f"stratified sampling on: {len(planner.cells)} cells, "
+                f"ci-width target {config.ci_width:g}"
             )
         else:
-            groups = index_groups(len(plans), workers)
-
+            with telemetry.span("campaign.draw_plans"):
+                plans = draw_plans(config, golden_cycles)
+            groups, workers = _dispatch(plans, fast_forward, config.workers)
+            layout = {"groups": groups}
+            start = {"groups": len(groups)}
+            banner = (
+                f"boundary fan-out on ({len(groups)} groups)"
+                if fast_forward is not None
+                else None
+            )
         observe_events.emit(
             "campaign_start",
-            mode="uniform",
+            mode=config.sampling,
             kind=config.kind.value,
-            total=len(plans),
+            total=len(plans) if planner is None else None,
             workers=workers,
             seed=config.seed,
             journaled=journal_path is not None,
             resume=resume,
-            groups=len(groups),
+            **start,
         )
         if config.probe:
             observe_events.emit("note", note="divergence probes on")
-        if fast_forward is not None:
-            observe_events.emit("note", note=f"boundary fan-out on ({len(groups)} groups)")
+        if banner is not None:
+            observe_events.emit("note", note=banner)
 
-        journal: CampaignJournal | None = None
-        done: dict[int, list[InjectionResult]] = {}
+        journal = None
+        replay: dict[int, list[InjectionResult]] = {}
+        results: list[InjectionResult] = []
         if journal_path is not None:
-            journal, groups, done, partial = _prepare_journal(
-                config, len(plans), journal_path, resume, groups
+            journal, state = open_journal(
+                journal_path, config, golden_output, golden_cycles, resume=resume, **layout
             )
+            replay = state.chunks
+            if planner is None:
+                groups = state.groups
+            else:
+                for round_results in replay.values():
+                    results.extend(round_results)
+                    planner.absorb_round(round_results)
             if resume:
                 observe_events.emit(
                     "journal_resume",
-                    replayed=len(done),
-                    units=len(groups),
-                    injections=sum(len(res) for res in done.values()),
-                    discarded_partial=partial,
+                    replayed=len(replay),
+                    units=len(groups) if planner is None else None,
+                    injections=sum(len(unit) for unit in replay.values()),
+                    discarded_partial=state.discarded_partial,
                 )
+
         with telemetry.span("campaign.execute"), (
             journal if journal is not None else contextlib.nullcontext()
         ):
-            results = execute_plans_parallel(
-                spec,
-                config,
-                plans,
-                workers,
-                local_state=(workload, golden_output, golden_cycles),
-                groups=groups,
-                completed=done,
-                journal=journal,
-            )
+            while True:
+                if planner is not None:
+                    with telemetry.span("campaign.draw_plans"):
+                        plans = planner.plan_round()
+                    if not plans:
+                        break
+                    groups, workers = _dispatch(plans, fast_forward, config.workers)
+                round_results = execute_plans_parallel(
+                    spec,
+                    config,
+                    plans,
+                    workers,
+                    local_state=(workload, golden_output, golden_cycles),
+                    groups=groups,
+                    # A uniform round resumes chunk by chunk; a stratified
+                    # one checkpoints whole, once it has run.
+                    completed=replay if planner is None else None,
+                    journal=journal if planner is None else None,
+                    index_base=len(results),
+                )
+                results.extend(round_results)
+                if planner is None:
+                    break
+                if journal is not None:
+                    # May raise CampaignInterrupted (the abort-after hook).
+                    journal.append_round(planner.rounds_done, round_results)
+                planner.absorb_round(round_results)
 
         with telemetry.span("campaign.assemble"):
             campaign = assemble_campaign(config, results)
+        finish = {}
+        if planner is not None:
+            campaign.sampling = planner.summary()
+            finish = {
+                "rounds": campaign.sampling.rounds,
+                "cells_converged": campaign.sampling.cells_converged,
+                "draws_saved": campaign.sampling.draws_saved(),
+            }
         observe_events.emit(
             "campaign_finish",
             total=campaign.counts.total,
@@ -410,5 +426,6 @@ def run_campaign(
                 "crash": campaign.counts.crash,
                 "hang": campaign.counts.hang,
             },
+            **finish,
         )
         return campaign

@@ -6,7 +6,8 @@ The journal is a schema-versioned JSONL file the campaign engine
 appends to as chunks complete:
 
 * line 1 — a ``header`` record: schema version, a fingerprint of every
-  config field that affects results, and the dispatch layout — the
+  config field that affects results, the golden identity (cycle count
+  and a SHA-256 of the golden output), and the dispatch layout — the
   ``groups`` (lists of plan indices, one per chunk) for uniform
   campaigns, or the ``stratification`` grid for adaptive stratified
   campaigns — so a resume can detect config drift and re-dispatch
@@ -20,8 +21,9 @@ appends to as chunks complete:
   that made it into the file survives the process.
 
 ``repro campaign --resume PATH`` (and ``run_campaign(...,
-journal_path=..., resume=True)``) replays journaled chunks and executes
-only the remainder — bit-identical to an uninterrupted run, because
+journal_path=..., resume=True)``) opens the journal through
+:func:`open_journal`, replays its journaled chunks and executes only
+the remainder — bit-identical to an uninterrupted run, because
 results are reassembled in plan order before statistics are computed
 and every per-run RNG derives from ``(seed, index)`` alone.
 
@@ -35,6 +37,7 @@ byte-identical to freshly computed ones.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import os
 import zlib
@@ -66,7 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: v4: the ``chunk_bounds`` header form is gone — campaigns without a
 #: snapshot tape record contiguous index ``groups`` instead — leaving
 #: ``groups`` and ``stratification`` as the two header forms.
-JOURNAL_SCHEMA_VERSION = 4
+#: v5: the header records the ``golden`` identity, so a resume against
+#: another workload (input, frame count, algorithm) is refused.
+JOURNAL_SCHEMA_VERSION = 5
 
 #: Test/CI hook: abort the campaign after this many journal appends, to
 #: exercise the interrupt->resume path deterministically.
@@ -221,7 +226,7 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
         # campaigns by construction.  The stratified knobs join only in
         # stratified mode: changing them must invalidate stratified
         # journals without perturbing every uniform fingerprint.
-        "sampling": getattr(config, "sampling", "uniform"),
+        "sampling": config.sampling,
         **(
             {
                 "stratified": {
@@ -231,30 +236,22 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
                     "strata": list(config.strata),
                 }
             }
-            if getattr(config, "sampling", "uniform") == "stratified"
+            if config.sampling == "stratified"
             else {}
         ),
     }
 
 
-def require_sampling_mode(
-    fingerprint: dict, config: "CampaignConfig", path: Path
-) -> None:
-    """Reject a resume that mixes sampling modes, with a targeted error.
+def golden_identity(golden_output: np.ndarray, golden_cycles: int) -> dict:
+    """The workload a journal was written for: golden cycles and output hash.
 
-    The full fingerprint comparison would also refuse the mix, but its
-    generic "different configuration" message buries the one field that
-    matters; mode mixing deserves a message naming both modes.
+    Kept out of :func:`config_fingerprint`, which stored record ids
+    hash: the identity guards resume, not record identity.
     """
-    journal_mode = fingerprint.get("sampling", "uniform")
-    config_mode = getattr(config, "sampling", "uniform")
-    if journal_mode != config_mode:
-        raise JournalError(
-            f"journal {path} was written by a sampling={journal_mode!r} "
-            f"campaign and cannot be resumed with sampling={config_mode!r}: "
-            f"the modes draw different plans and checkpoint at different "
-            f"granularities, so their results cannot be mixed"
-        )
+    output = np.ascontiguousarray(golden_output)
+    digest = hashlib.sha256(f"{output.dtype.str}{list(output.shape)}".encode("ascii"))
+    digest.update(output.tobytes())
+    return {"golden_cycles": int(golden_cycles), "sha256": digest.hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +275,10 @@ def _abort_after_from_env() -> int | None:
 class CampaignJournal:
     """Append-only writer for one campaign's checkpoint journal.
 
-    Create with :meth:`create` for a fresh campaign (writes the header)
-    or :meth:`append_to` when resuming (the header already exists).
-    Every :meth:`append_chunk` writes one complete JSON line, flushes,
-    and fsyncs before returning — once it returns, that chunk survives
-    any crash of this process.
+    Opened by :func:`open_journal`, which writes a fresh journal's header
+    or validates an existing one.  Every append writes one complete JSON
+    line, flushes, and fsyncs before returning — once it returns, that
+    chunk (or round) survives any crash of this process.
     """
 
     def __init__(self, path: Path, handle, chunks_written: int = 0) -> None:
@@ -291,54 +287,6 @@ class CampaignJournal:
         self.chunks_written = chunks_written
         self._abort_after = _abort_after_from_env()
 
-    @classmethod
-    def create(
-        cls,
-        path: Path,
-        config: "CampaignConfig",
-        groups: list[list[int]] | None = None,
-        stratification: dict | None = None,
-    ) -> "CampaignJournal":
-        """Start a fresh journal at ``path`` (truncating any old file).
-
-        Exactly one of ``groups`` (one chunk per group of plan indices)
-        or ``stratification`` (adaptive stratified campaigns: the cell
-        grid, checkpointed per round) describes the dispatch layout
-        recorded in the header.
-        """
-        if (groups is None) == (stratification is None):
-            raise ValueError(
-                "CampaignJournal.create needs exactly one of groups/stratification"
-            )
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "w", encoding="utf-8")
-        header = {
-            "type": "header",
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "fingerprint": config_fingerprint(config),
-        }
-        if stratification is not None:
-            header["stratification"] = stratification
-        else:
-            header["groups"] = [list(group) for group in groups]
-        journal = cls(path, handle)
-        journal._write_line(header)
-        return journal
-
-    @classmethod
-    def append_to(cls, path: Path, chunks_written: int) -> "CampaignJournal":
-        """Reopen ``path`` for appending after :func:`load_journal`.
-
-        The loader already discarded any torn trailing record *from its
-        view*; the file itself may still end with the torn bytes, so the
-        writer first truncates to the last complete line boundary.
-        """
-        path = Path(path)
-        _truncate_to_complete_lines(path)
-        handle = open(path, "a", encoding="utf-8")
-        return cls(path, handle, chunks_written=chunks_written)
-
     def _write_line(self, record: dict) -> None:
         self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._handle.flush()
@@ -346,43 +294,21 @@ class CampaignJournal:
 
     def append_chunk(self, chunk_index: int, results: list[InjectionResult]) -> None:
         """Durably record one completed chunk's results."""
-        payload = [serialize_result(result) for result in results]
-        encoded = json.dumps(payload, separators=(",", ":"))
-        self._write_line(
-            {
-                "type": "chunk",
-                "chunk_index": chunk_index,
-                "n_results": len(results),
-                "crc32": zlib.crc32(encoded.encode("utf-8")),
-                "results": payload,
-            }
-        )
-        self.chunks_written += 1
-        observe_events.emit(
-            "journal_checkpoint",
-            unit="chunk",
-            index=chunk_index,
-            n_results=len(results),
-            written=self.chunks_written,
-        )
-        if self._abort_after is not None and self.chunks_written >= self._abort_after:
-            self.close()
-            raise CampaignInterrupted(self.path, self.chunks_written)
+        self._append("chunk", chunk_index, results)
 
     def append_round(self, round_index: int, results: list[InjectionResult]) -> None:
-        """Durably record one completed stratified sampling round.
+        """Durably record one completed stratified sampling round."""
+        self._append("round", round_index, results)
 
-        Same durability contract as :meth:`append_chunk`; rounds count
-        toward the abort-after test hook exactly as chunks do, so the
-        interrupt/resume suite exercises stratified campaigns with the
-        same environment knob.
-        """
+    def _append(self, unit: str, index: int, results: list[InjectionResult]) -> None:
+        # Rounds count toward the abort-after test hook exactly as chunks
+        # do, so one environment knob interrupts either sampling mode.
         payload = [serialize_result(result) for result in results]
         encoded = json.dumps(payload, separators=(",", ":"))
         self._write_line(
             {
-                "type": "round",
-                "round_index": round_index,
+                "type": unit,
+                f"{unit}_index": index,
                 "n_results": len(results),
                 "crc32": zlib.crc32(encoded.encode("utf-8")),
                 "results": payload,
@@ -391,8 +317,8 @@ class CampaignJournal:
         self.chunks_written += 1
         observe_events.emit(
             "journal_checkpoint",
-            unit="round",
-            index=round_index,
+            unit=unit,
+            index=index,
             n_results=len(results),
             written=self.chunks_written,
         )
@@ -421,6 +347,109 @@ def _truncate_to_complete_lines(path: Path) -> None:
         handle.truncate(keep)
 
 
+def open_journal(
+    path: Path,
+    config: "CampaignConfig",
+    golden_output: np.ndarray,
+    golden_cycles: int,
+    *,
+    resume: bool,
+    groups: list[list[int]] | None = None,
+    stratification: dict | None = None,
+) -> tuple[CampaignJournal, "JournalState"]:
+    """Start (or reopen) a campaign's journal; return it with its replay.
+
+    Exactly one of ``groups`` (plan indices per chunk: a uniform
+    campaign, checkpointed per chunk) or ``stratification`` (the cell
+    grid of a stratified campaign, checkpointed per round) is the
+    dispatch layout.  A fresh journal records it in its header, next to
+    the config fingerprint and the golden identity, and replays nothing.
+
+    A resume refuses a journal written by another campaign — another
+    schema, sampling mode, config fingerprint, golden workload or
+    layout (groups that do not cover the plans, a changed
+    stratification) — before writing a byte.  The returned state then
+    carries the journal's own ``groups`` (index chunking depends on the
+    original worker count, so the original dispatch replays verbatim)
+    and, as ``chunks``, the completed chunks or the contiguous prefix of
+    completed rounds: round ``k``'s draws depend on the rounds before
+    it, so a gap invalidates every later round, which simply re-runs.
+    """
+    path = Path(path)
+    fingerprint = config_fingerprint(config)
+    golden = golden_identity(golden_output, golden_cycles)
+    if not resume:
+        layout = (
+            {"groups": [list(group) for group in groups]}
+            if groups is not None
+            else {"stratification": stratification}
+        )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        journal = CampaignJournal(path, open(path, "w", encoding="utf-8"))
+        journal._write_line(
+            {
+                "type": "header",
+                "schema": JOURNAL_SCHEMA_VERSION,
+                "fingerprint": fingerprint,
+                "golden": golden,
+                **layout,
+            }
+        )
+        state = JournalState(
+            path, fingerprint, golden, groups=groups, stratification=stratification
+        )
+        return journal, state
+
+    state = load_journal(path)
+    # Mode mixing gets its own targeted error before the generic
+    # fingerprint comparison, whose message would bury the one field
+    # that matters.
+    journal_mode = state.fingerprint.get("sampling")
+    if journal_mode != config.sampling:
+        raise JournalError(
+            f"journal {path} was written by a sampling={journal_mode!r} "
+            f"campaign and cannot be resumed with sampling={config.sampling!r}: "
+            f"the modes draw different plans and checkpoint at different "
+            f"granularities, so their results cannot be mixed"
+        )
+    if state.fingerprint != fingerprint:
+        raise JournalError(
+            f"journal {path} was written by a different campaign "
+            f"configuration (journal {state.fingerprint} vs requested "
+            f"{fingerprint}); refusing to mix results"
+        )
+    if state.golden != golden:
+        raise JournalError(
+            f"journal {path} was written for a different workload (journal "
+            f"golden {state.golden} vs requested {golden}); the input, frame "
+            f"count or algorithm changed, refusing to mix results"
+        )
+    if groups is not None:
+        n_plans = sum(len(group) for group in groups)
+        covered = sorted(index for group in state.groups or [] for index in group)
+        if covered != list(range(n_plans)):
+            raise JournalError(
+                f"journal {path} dispatch groups do not cover the "
+                f"campaign's {n_plans} injections"
+            )
+    else:
+        if state.stratification != stratification:
+            raise JournalError(
+                f"journal {path} records a different stratification "
+                f"({state.stratification!r} vs {stratification!r}); "
+                f"the golden run or strata grid drifted since it was written"
+            )
+        rounds = state.chunks
+        state.chunks = {}
+        while len(state.chunks) in rounds:
+            state.chunks[len(state.chunks)] = rounds[len(state.chunks)]
+    # The loader dropped a torn trailing record from its view only; cut
+    # its bytes from the file before appending after it.
+    _truncate_to_complete_lines(path)
+    handle = open(path, "a", encoding="utf-8")
+    return CampaignJournal(path, handle, chunks_written=len(state.chunks)), state
+
+
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
@@ -432,36 +461,31 @@ class JournalState:
 
     path: Path
     fingerprint: dict
+    #: The workload the journal was written for (see
+    #: :func:`golden_identity`).
+    golden: dict | None = None
     #: Plan indices per chunk for uniform journals; None for stratified
     #: ones.
     groups: list[list[int]] | None = None
     #: The stratification grid (see ``Stratification.to_dict``) for
     #: stratified journals; None otherwise.
     stratification: dict | None = None
-    #: Completed chunks, keyed by chunk index.
+    #: Completed checkpoint units keyed by index: chunks, or sampling
+    #: rounds in a stratified journal.
     chunks: dict[int, list[InjectionResult]] = field(default_factory=dict)
-    #: Completed sampling rounds (stratified journals), keyed by round
-    #: index.
-    rounds: dict[int, list[InjectionResult]] = field(default_factory=dict)
-    #: True when a torn/corrupt trailing record was found and dropped.
+    #: True when a torn/corrupt record was found and dropped.
     discarded_partial: bool = False
-
-    @property
-    def injections_done(self) -> int:
-        chunked = sum(len(results) for results in self.chunks.values())
-        return chunked + sum(len(results) for results in self.rounds.values())
 
 
 def load_journal(path: Path) -> JournalState:
     """Read a journal, validating schema and integrity.
 
-    Raises :class:`JournalError` for a missing/empty file, an unreadable
-    or wrong-schema header, or structurally impossible chunk records
-    (bad index, length mismatch with the header's groups).  A torn or
-    CRC-failing record at the *end* of the file — the expected shape of
-    a crash — is silently discarded and flagged via
-    ``discarded_partial``; corruption anywhere earlier also discards
-    that record (its chunk just re-runs) since chunks are independent.
+    Raises :class:`JournalError` for a missing/empty file or an
+    unreadable or wrong-schema header.  A torn or CRC-failing record at
+    the *end* of the file — the expected shape of a crash — is silently
+    discarded and flagged via ``discarded_partial``; corruption anywhere
+    earlier also discards that record (its chunk just re-runs) since
+    records are independent.
     """
     path = Path(path)
     if not path.exists():
@@ -486,95 +510,66 @@ def load_journal(path: Path) -> JournalState:
             f"supported (expected {JOURNAL_SCHEMA_VERSION})"
         )
     groups: list[list[int]] | None = None
-    stratification: dict | None = None
     if "stratification" in header:
-        stratification = header["stratification"]
-        expected_lengths = []
+        unit, lengths = "round", None
     elif "groups" in header:
         groups = [[int(index) for index in group] for group in header["groups"]]
-        expected_lengths = [len(group) for group in groups]
+        unit, lengths = "chunk", [len(group) for group in groups]
     else:
         raise JournalError(f"journal {path}: header records no dispatch layout")
 
     state = JournalState(
         path=path,
         fingerprint=header["fingerprint"],
+        golden=header.get("golden"),
         groups=groups,
-        stratification=stratification,
+        stratification=header.get("stratification"),
         discarded_partial=torn_tail,
     )
-    for line_number, line in enumerate(lines[1:], start=2):
-        if stratification is not None:
-            round_record = _parse_round_record(line)
-            if round_record is None:
-                state.discarded_partial = True
-                continue
-            round_index, results = round_record
-            state.rounds[round_index] = results
-            continue
-        record = _parse_chunk_record(line, expected_lengths)
+    for line in lines[1:]:
+        record = _parse_record(line, unit, lengths)
         if record is None:
             # Torn or corrupt record: drop it (and keep scanning — later
             # records are independent and may be intact).
             state.discarded_partial = True
             continue
-        chunk_index, results = record
-        state.chunks[chunk_index] = results
+        index, results = record
+        state.chunks[index] = results
     return state
 
 
-def _parse_chunk_record(
-    line: bytes, expected_lengths: list[int]
+def _parse_record(
+    line: bytes, unit: str, lengths: list[int] | None
 ) -> tuple[int, list[InjectionResult]] | None:
-    """Parse one chunk line; None for anything torn or inconsistent.
+    """Parse one ``chunk`` or ``round`` line; None for anything torn or corrupt.
 
-    ``expected_lengths[i]`` is how many results chunk ``i`` must carry —
-    the size of the header's group ``i``.
+    A chunk must carry as many results as its header group
+    (``lengths[index]``).  A round's length is not fixed by the header —
+    each round samples however many cells were still unresolved — so it
+    is checked against the record's own ``n_results``.
     """
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
         return None
-    if not isinstance(record, dict) or record.get("type") != "chunk":
+    if not isinstance(record, dict) or record.get("type") != unit:
         return None
-    chunk_index = record.get("chunk_index")
-    if not isinstance(chunk_index, int) or not 0 <= chunk_index < len(expected_lengths):
+    index = record.get(f"{unit}_index")
+    if not isinstance(index, int) or index < 0:
+        return None
+    if lengths is None:
+        expected = record.get("n_results")
+    elif index < len(lengths):
+        expected = lengths[index]
+    else:
         return None
     payload = record.get("results")
-    if not isinstance(payload, list) or len(payload) != expected_lengths[chunk_index]:
+    if not isinstance(payload, list) or len(payload) != expected:
         return None
     encoded = json.dumps(payload, separators=(",", ":"))
     if zlib.crc32(encoded.encode("utf-8")) != record.get("crc32"):
         return None
     try:
-        return chunk_index, [deserialize_result(item) for item in payload]
-    except (KeyError, ValueError, TypeError):
-        return None
-
-
-def _parse_round_record(line: bytes) -> tuple[int, list[InjectionResult]] | None:
-    """Parse one stratified round line; None for anything torn or corrupt.
-
-    Unlike chunks, a round's length is not fixed by the header — each
-    round samples however many cells were still unresolved — so the
-    integrity check is the declared length plus the CRC.
-    """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or record.get("type") != "round":
-        return None
-    round_index = record.get("round_index")
-    if not isinstance(round_index, int) or round_index < 0:
-        return None
-    payload = record.get("results")
-    if not isinstance(payload, list) or len(payload) != record.get("n_results"):
-        return None
-    encoded = json.dumps(payload, separators=(",", ":"))
-    if zlib.crc32(encoded.encode("utf-8")) != record.get("crc32"):
-        return None
-    try:
-        return round_index, [deserialize_result(item) for item in payload]
+        return index, [deserialize_result(item) for item in payload]
     except (KeyError, ValueError, TypeError):
         return None

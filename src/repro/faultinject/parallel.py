@@ -236,38 +236,18 @@ def _workload_state(spec: WorkloadSpec) -> tuple[Workload, np.ndarray, int]:
     return state
 
 
-#: Per-process cache: spec -> FastForward handle (or None when the spec
-#: offers no tape).  Kept separate from ``_WORKER_STATE`` because the
-#: golden cache owns the tapes' lifetime (see :func:`clear_fast_forward_cache`).
-_WORKER_FF: dict[WorkloadSpec, object] = {}
-
-
-def clear_fast_forward_cache() -> None:
-    """Drop this process's cached fast-forward handles (test isolation).
-
-    Called from :func:`repro.summarize.golden.clear_golden_cache`: the
-    handles wrap tapes captured against golden runs, so clearing one
-    without the other would leave handles over stale tapes.
-    """
-    _WORKER_FF.clear()
-
-
 def fast_forward_for(spec: WorkloadSpec | None):
-    """The (cached) fast-forward handle for ``spec``'s workload.
+    """The fast-forward handle for ``spec``'s workload.
 
     Returns ``None`` when there is no spec to rebuild a tape from (the
     full-execution oracle; custom workload closures run in full), when
     the spec does not support snapshotting, or when its tape capture
-    raised ``SnapshotUnsupported``.
+    raised ``SnapshotUnsupported``.  The spec's builder owns caching:
+    :func:`repro.summarize.golden.golden_fast_forward` keeps one handle
+    per workload per process.
     """
-    if spec is None:
-        return None
     builder = getattr(spec, "build_fast_forward", None)
-    if builder is None:
-        return None
-    if spec not in _WORKER_FF:
-        _WORKER_FF[spec] = builder()
-    return _WORKER_FF[spec]
+    return builder() if builder is not None else None
 
 
 def monitor_for(
@@ -593,11 +573,12 @@ def execute_plans_parallel(
         return []
     retry = config.retry if config.retry is not None else RetryPolicy()
     watchdog = config.watchdog
+    fast_forward = fast_forward_for(spec)
     collector = _ChunkCollector(
         journal,
         completed or {},
         # Boundary groups exist only where a tape does.
-        unit="group" if fast_forward_for(spec) is not None else "chunk",
+        unit="group" if fast_forward is not None else "chunk",
         done_base=index_base,
     )
 
@@ -677,7 +658,7 @@ def execute_plans_parallel(
     if pending:
         # In-process execution (one worker, no spec, or the degraded
         # fallback): same RNG derivation, same payload, same results.
-        monitor = monitor_for(*local_state, config, fast_forward=fast_forward_for(spec))
+        monitor = monitor_for(*local_state, config, fast_forward=fast_forward)
         for index in list(pending):
             chunk = chunks[index]
             collector.secure(

@@ -29,35 +29,19 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro import telemetry
 from repro.analysis.convergence import wilson_width
 from repro.faultinject.injector import InjectionPlan
-from repro.faultinject.journal import (
-    CampaignJournal,
-    JournalError,
-    config_fingerprint,
-    load_journal,
-    require_sampling_mode,
-)
 from repro.faultinject.outcomes import Outcome, OutcomeCounts
-from repro.faultinject.parallel import (
-    execute_plans_parallel,
-    fast_forward_for,
-    group_plan_indices,
-    resolve_workers,
-)
 from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, RegKind
 from repro.observe import events as observe_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.faultinject.campaign import CampaignConfig, CampaignResult
-    from repro.faultinject.monitor import InjectionResult, Workload
-    from repro.faultinject.parallel import WorkloadSpec
+    from repro.faultinject.campaign import CampaignConfig
+    from repro.faultinject.monitor import InjectionResult
 
 #: Recognized ``CampaignConfig.sampling`` values.
 SAMPLING_MODES = ("uniform", "stratified")
@@ -428,29 +412,37 @@ class StratifiedSummary:
 
 
 # ---------------------------------------------------------------------------
-# The adaptive planner / driver
+# The adaptive planner
 # ---------------------------------------------------------------------------
 
 
 class _StratifiedState:
     """Mutable round-by-round campaign state (shared by replay and live).
 
-    Keeping one update path for journal-replayed and freshly executed
-    rounds is what makes an interrupted-then-resumed stratified campaign
-    bit-identical to an uninterrupted one.
+    The planner of a stratified campaign: ``run_campaign`` draws each
+    round from :meth:`plan_round` and folds its results back with
+    :meth:`absorb_round`.  Keeping one update path for journal-replayed
+    and freshly executed rounds is what makes an interrupted-then-resumed
+    stratified campaign bit-identical to an uninterrupted one.
     """
 
     def __init__(self, stratification: Stratification, config: "CampaignConfig") -> None:
+        # A zero width would never converge; the campaign would only stop
+        # at the max_injections budget, so require a real target instead.
+        if not 0.0 < config.ci_width <= 1.0:
+            raise ValueError(f"ci_width must be in (0, 1], got {config.ci_width}")
+        if config.round_size < 1:
+            raise ValueError(f"round_size must be >= 1, got {config.round_size}")
+        if config.max_injections is not None and config.max_injections < 1:
+            raise ValueError(
+                f"max_injections must be >= 1 (or None), got {config.max_injections}"
+            )
         self.stratification = stratification
         self.config = config
         self.cells = [CellStats() for _ in stratification.cells]
-        self.results: list["InjectionResult"] = []
+        self.total_draws = 0
         self.rounds_done = 0
         self.budget_exhausted = False
-
-    @property
-    def total_draws(self) -> int:
-        return len(self.results)
 
     def unconverged(self) -> list[int]:
         return [
@@ -470,7 +462,7 @@ class _StratifiedState:
             stats = self.cells[self.stratification.cell_index_for(result.plan)]
             stats.counts.add(result.outcome, result.crash_kind)
             stats.draws += 1
-        self.results.extend(results)
+        self.total_draws += len(results)
         newly_converged: list[int] = []
         for index, stats in enumerate(self.cells):
             if (
@@ -588,184 +580,3 @@ def build_stratification(
         register_classes=register_classes,
         bit_octets=bit_octets,
     )
-
-
-def _validate_stratified_config(config: "CampaignConfig") -> None:
-    # A zero width would never converge; the campaign would only stop at
-    # the max_injections budget, so require a real target instead.
-    if not 0.0 < config.ci_width <= 1.0:
-        raise ValueError(f"ci_width must be in (0, 1], got {config.ci_width}")
-    if config.round_size < 1:
-        raise ValueError(f"round_size must be >= 1, got {config.round_size}")
-    if config.max_injections is not None and config.max_injections < 1:
-        raise ValueError(
-            f"max_injections must be >= 1 (or None), got {config.max_injections}"
-        )
-
-
-def _prepare_stratified_journal(
-    config: "CampaignConfig",
-    stratification: Stratification,
-    journal_path: Path,
-    resume: bool,
-) -> tuple[CampaignJournal, list[list["InjectionResult"]], bool]:
-    """Open (or reopen) a round-granularity journal.
-
-    Returns ``(journal, replayable_rounds, discarded_partial)``.  Only
-    the contiguous prefix of journaled rounds replays: round ``k``'s
-    draws depend on the statistics of rounds ``< k``, so a gap (one
-    corrupt mid-file record) invalidates everything after it — those
-    rounds simply re-run and are re-appended.
-    """
-    journal_path = Path(journal_path)
-    if not resume:
-        journal = CampaignJournal.create(
-            journal_path, config, stratification=stratification.to_dict()
-        )
-        return journal, [], False
-    state = load_journal(journal_path)
-    require_sampling_mode(state.fingerprint, config, journal_path)
-    fingerprint = config_fingerprint(config)
-    if state.fingerprint != fingerprint:
-        raise JournalError(
-            f"journal {journal_path} was written by a different campaign "
-            f"configuration (journal {state.fingerprint} vs requested "
-            f"{fingerprint}); refusing to mix results"
-        )
-    if state.stratification != stratification.to_dict():
-        raise JournalError(
-            f"journal {journal_path} records a different stratification "
-            f"({state.stratification!r} vs {stratification.to_dict()!r}); "
-            f"the golden run or strata grid drifted since it was written"
-        )
-    replayable: list[list["InjectionResult"]] = []
-    while len(replayable) in state.rounds:
-        replayable.append(state.rounds[len(replayable)])
-    journal = CampaignJournal.append_to(journal_path, chunks_written=len(replayable))
-    return journal, replayable, state.discarded_partial
-
-
-def run_stratified_campaign(
-    workload: "Workload",
-    golden_output: np.ndarray,
-    golden_cycles: int,
-    config: "CampaignConfig",
-    spec: "WorkloadSpec | None" = None,
-    journal_path: Path | None = None,
-    resume: bool = False,
-) -> "CampaignResult":
-    """Run one adaptive, stratified, convergence-stopped campaign.
-
-    Fully deterministic given ``config.seed``: every round's draws
-    derive from ``(seed, round, cell)``, every run's injector RNG from
-    ``(seed, global draw index)``, and the set of cells sampled each
-    round is a pure function of the accumulated statistics — so a
-    journaled campaign interrupted at any round boundary (or killed
-    mid-round) resumes bit-identically, and worker count never changes
-    results.  Rounds reuse the boundary fan-out scheduler: each round's
-    plans are grouped by their fast-forward resume boundary exactly as
-    a uniform campaign's would be.
-    """
-    # Lazy import: campaign.run_campaign dispatches into this module, so
-    # a module-level import either way would be circular.
-    from repro.faultinject.campaign import assemble_campaign, campaign_subscribers
-
-    _validate_stratified_config(config)
-    ff = fast_forward_for(spec)
-    stratification = build_stratification(config, golden_cycles, fast_forward=ff)
-    state = _StratifiedState(stratification, config)
-
-    with campaign_subscribers(config):
-        observe_events.emit(
-            "campaign_start",
-            mode="stratified",
-            kind=config.kind.value,
-            total=None,
-            workers=config.workers,
-            seed=config.seed,
-            journaled=journal_path is not None,
-            resume=resume,
-            cells=len(stratification.cells),
-            ci_width=config.ci_width,
-        )
-        observe_events.emit(
-            "note",
-            note=f"stratified sampling on: {len(stratification.cells)} cells, "
-            f"ci-width target {config.ci_width:g}",
-        )
-
-        journal: CampaignJournal | None = None
-        if journal_path is not None:
-            journal, replayed, partial = _prepare_stratified_journal(
-                config, stratification, journal_path, resume
-            )
-            for round_results in replayed:
-                state.absorb_round(round_results)
-            if resume:
-                observe_events.emit(
-                    "journal_resume",
-                    replayed=len(replayed),
-                    units=None,
-                    injections=state.total_draws,
-                    discarded_partial=partial,
-                )
-
-        try:
-            with telemetry.span("campaign.execute"):
-                while True:
-                    unconverged = state.unconverged()
-                    if not unconverged:
-                        break
-                    budget = state.budget_left()
-                    if budget is not None and budget <= 0:
-                        state.budget_exhausted = True
-                        break
-                    with telemetry.span("campaign.sampling.draw_round"):
-                        plans = state.plan_round()
-                    if not plans:
-                        break
-                    groups = (
-                        group_plan_indices(ff.boundary_index_for, plans)
-                        if ff is not None
-                        else None
-                    )
-                    workers = resolve_workers(
-                        config.workers,
-                        max_useful=min(len(plans), len(groups)) if groups else len(plans),
-                    )
-                    results = execute_plans_parallel(
-                        spec,
-                        config,
-                        plans,
-                        workers,
-                        local_state=(workload, golden_output, golden_cycles),
-                        groups=groups,
-                        index_base=state.total_draws,
-                    )
-                    if journal is not None:
-                        # Durability first: a round only counts once fsync'd.
-                        # May raise CampaignInterrupted (abort-after hook).
-                        journal.append_round(state.rounds_done, results)
-                    state.absorb_round(results)
-        finally:
-            if journal is not None:
-                journal.close()
-
-        summary = state.summary()
-        with telemetry.span("campaign.assemble"):
-            campaign = assemble_campaign(config, state.results)
-        campaign.sampling = summary
-        observe_events.emit(
-            "campaign_finish",
-            total=campaign.counts.total,
-            outcomes={
-                "mask": campaign.counts.masked,
-                "sdc": campaign.counts.sdc,
-                "crash": campaign.counts.crash,
-                "hang": campaign.counts.hang,
-            },
-            rounds=summary.rounds,
-            cells_converged=summary.cells_converged,
-            draws_saved=summary.draws_saved(),
-        )
-        return campaign

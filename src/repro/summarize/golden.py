@@ -44,15 +44,13 @@ class GoldenCacheStats:
 _CACHE: dict[tuple, GoldenRun] = {}
 _STATS = GoldenCacheStats()
 
-#: Fast-forward snapshot tapes, cached alongside the golden runs they
-#: are captured against.  ``None`` marks a workload whose shape the
-#: recorder cannot snapshot (it degrades to full executions).
-_TAPES: dict[tuple, object] = {}
-
-#: Per-process FastForward handles over the cached tapes.  Cached so the
-#: boundary fan-out state hanging off a handle (shared per-boundary
-#: restores, materialized once per worker) survives across campaigns in
-#: the same process instead of being rebuilt per campaign.
+#: Per-process FastForward handles, keyed like the golden runs their
+#: tapes are captured against (both share a lifetime: anything that
+#: invalidates the golden run invalidates every snapshot).  ``None``
+#: marks a workload whose shape the recorder cannot snapshot (it
+#: degrades to full executions).  Cached so the boundary fan-out state
+#: hanging off a handle (shared per-boundary restores, materialized once
+#: per worker) survives across campaigns in the same process.
 _FF_HANDLES: dict[tuple, object] = {}
 
 
@@ -119,13 +117,10 @@ def golden_fast_forward(stream: FrameStream, config: VSConfig):
     """The fast-forward handle for ``(config, stream)``, or ``None``.
 
     Captures the snapshot tape once per process per workload — one
-    instrumented golden-run's worth of work — and caches it next to the
-    golden run itself, since both share a lifetime (anything that
-    invalidates the golden run invalidates every snapshot).  Returns the
-    process-cached :class:`~repro.faultinject.fastforward.FastForward`
-    handle over the cached tape (cached so boundary fan-out state
-    amortizes across campaigns), or ``None`` when the workload cannot
-    be snapshotted.
+    instrumented golden-run's worth of work — and caches the
+    :class:`~repro.faultinject.fastforward.FastForward` handle over it
+    next to the golden run itself.  ``None`` (also cached) when the
+    workload cannot be snapshotted.
     """
     from repro.faultinject.fastforward import (
         FastForward,
@@ -134,24 +129,17 @@ def golden_fast_forward(stream: FrameStream, config: VSConfig):
     )
 
     key = _cache_key(stream, config)
-    handle = _FF_HANDLES.get(key)
-    if handle is not None:
+    if key in _FF_HANDLES:
         telemetry.counter_inc("golden.tape_hit")
-        return handle
-    if key in _TAPES:
-        telemetry.counter_inc("golden.tape_hit")
-        tape = _TAPES[key]
+        return _FF_HANDLES[key]
+    telemetry.counter_inc("golden.tape_capture")
+    golden = golden_run(stream, config)
+    try:
+        tape = capture_tape(stream, config, golden.output, golden.total_cycles)
+    except SnapshotUnsupported:
+        handle = None
     else:
-        telemetry.counter_inc("golden.tape_capture")
-        golden = golden_run(stream, config)
-        try:
-            tape = capture_tape(stream, config, golden.output, golden.total_cycles)
-        except SnapshotUnsupported:
-            tape = None
-        _TAPES[key] = tape
-    if tape is None:
-        return None
-    handle = FastForward(tape, stream, config)
+        handle = FastForward(tape, stream, config)
     _FF_HANDLES[key] = handle
     return handle
 
@@ -164,18 +152,15 @@ def golden_cache_stats() -> GoldenCacheStats:
 def clear_golden_cache() -> None:
     """Drop all cached golden runs and reset the counters (test isolation).
 
-    Also drops the forensics layer's cached golden stage signatures
-    (keyed by workload identity, so resetting golden runs invalidates
-    the workloads they were captured from) and the parallel engine's
-    cached fast-forward handles (they wrap tapes cached here).
+    Also drops the cached fast-forward handles and the forensics layer's
+    cached golden stage signatures (keyed by workload identity, so
+    resetting golden runs invalidates the workloads they were captured
+    from).
     """
-    from repro.faultinject.parallel import clear_fast_forward_cache
     from repro.forensics import probes
 
     _CACHE.clear()
-    _TAPES.clear()
     _FF_HANDLES.clear()
     _STATS.computes = 0
     _STATS.hits = 0
     probes.clear_golden_signatures()
-    clear_fast_forward_cache()

@@ -79,6 +79,21 @@ def fresh_tracer():
 
 
 @pytest.fixture(autouse=True)
+def _tracer_unchanged():
+    """A test must leave the active tracer as it found it.
+
+    Under ``REPRO_TRACE=1`` a test that ends with ``telemetry.disable()``
+    would run every later test untraced.  The tracer is restored before
+    the failure is reported, so one leak does not cascade.
+    """
+    before = telemetry.get_tracer()
+    yield
+    after = telemetry.get_tracer()
+    telemetry.restore_tracer(before)
+    assert after is before, "test changed the active telemetry tracer"
+
+
+@pytest.fixture(autouse=True)
 def _fresh_golden_cache():
     """Isolate golden-run caching between tests."""
     yield

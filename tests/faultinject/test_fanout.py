@@ -32,6 +32,7 @@ from repro.faultinject.monitor import FaultMonitor
 from repro.faultinject.parallel import (
     VSWorkloadSpec,
     compute_chunk_bounds,
+    fast_forward_for,
     group_plan_indices,
     resolve_workers,
 )
@@ -263,6 +264,14 @@ class TestJournalInterplay:
 
 
 class TestTelemetry:
+    def test_one_handle_cache_captures_once(self, vs, fresh_tracer):
+        spec = vs[-1]
+        clear_golden_cache()
+        handle = fast_forward_for(spec)
+        assert handle is not None
+        assert fast_forward_for(spec) is handle
+        assert fresh_tracer.registry.counter("golden.tape_capture") == 1
+
     def test_fanout_counters_surface(self, vs, fresh_tracer):
         stream, config, golden, workload, spec = vs
         # Fresh handles: fan-out state hangs off the process-cached

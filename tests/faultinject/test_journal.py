@@ -312,6 +312,57 @@ class TestJournalValidation:
         )
 
 
+class TestGoldenIdentity:
+    """A journal resumes only against the workload it was written for."""
+
+    def _interrupted_journal(self, toy, tmp_path):
+        spec, golden, cycles = toy
+        journal = tmp_path / "j.jsonl"
+        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
+            with pytest.raises(CampaignInterrupted):
+                run_campaign(toy_workload, golden, cycles, _config(), journal_path=journal)
+        return journal
+
+    @pytest.mark.parametrize("change", ["cycles", "output"])
+    def test_resume_on_another_workload_refused_byte_unchanged(self, toy, tmp_path, change):
+        spec, golden, cycles = toy
+        journal = self._interrupted_journal(toy, tmp_path)
+        before = journal.read_bytes()
+        other_golden, other_cycles = golden, cycles
+        if change == "cycles":
+            other_cycles = cycles + 1000
+        else:
+            other_golden = golden.copy()
+            other_golden[0, 0] ^= 1
+        with pytest.raises(JournalError, match="different workload") as excinfo:
+            run_campaign(
+                toy_workload,
+                other_golden,
+                other_cycles,
+                _config(),
+                journal_path=journal,
+                resume=True,
+            )
+        message = str(excinfo.value)
+        assert str(cycles) in message and str(other_cycles) in message
+        assert journal.read_bytes() == before
+
+    def test_cli_resume_with_other_frame_count_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        journal = tmp_path / "j.jsonl"
+        base = ["campaign", "--input", "input2", "-n", "0", "--workers", "1"]
+        assert main([*base, "--frames", "8", "--journal", str(journal)]) == 0
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert main([*base, "--frames", "6", "--resume", str(journal)]) == 2
+        # The last stderr line: a traced run prints heartbeat lines too.
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert message.startswith("repro campaign: journal ")
+        assert "different workload" in message
+        assert journal.read_bytes() == before
+
+
 class TestAbortHook:
     def test_interrupt_message_names_resume_path(self, toy, tmp_path):
         spec, golden, cycles = toy

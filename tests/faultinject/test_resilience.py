@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.outcomes import HangKind, Outcome
 from repro.faultinject.parallel import RetryPolicy
@@ -126,23 +125,18 @@ class TestChunkRetry:
         )
         _results_equal(reference, campaign)
 
-    def test_retry_counter_emitted(self, toy, tmp_path):
+    def test_retry_counter_emitted(self, toy, tmp_path, fresh_tracer):
         _, golden, cycles = toy
-        tracer = telemetry.enable()
-        before = tracer.registry.counter("campaign.retries")
-        try:
-            run_campaign(
-                toy_workload,
-                golden,
-                cycles,
-                CampaignConfig(
-                    n_injections=30, kind=RegKind.GPR, seed=5, workers=3, retry=FAST_RETRY
-                ),
-                spec=KillOnceSpec(str(tmp_path / "killed-once")),
-            )
-            assert tracer.registry.counter("campaign.retries") > before
-        finally:
-            telemetry.disable()
+        run_campaign(
+            toy_workload,
+            golden,
+            cycles,
+            CampaignConfig(
+                n_injections=30, kind=RegKind.GPR, seed=5, workers=3, retry=FAST_RETRY
+            ),
+            spec=KillOnceSpec(str(tmp_path / "killed-once")),
+        )
+        assert fresh_tracer.registry.counter("campaign.retries") > 0
 
     def test_backoff_delays_are_bounded_and_jittered(self):
         import random
@@ -174,27 +168,22 @@ class TestDegradedFallback:
         )
         _results_equal(reference, campaign)
 
-    def test_degraded_counter_emitted(self, toy):
+    def test_degraded_counter_emitted(self, toy, fresh_tracer):
         _, golden, cycles = toy
-        tracer = telemetry.enable()
-        before = tracer.registry.counter("campaign.degraded")
-        try:
-            run_campaign(
-                toy_workload,
-                golden,
-                cycles,
-                CampaignConfig(
-                    n_injections=30,
-                    kind=RegKind.GPR,
-                    seed=5,
-                    workers=3,
-                    retry=RetryPolicy(max_retries=1, backoff_base_s=0.01, backoff_max_s=0.02),
-                ),
-                spec=KillAlwaysSpec(os.getpid()),
-            )
-            assert tracer.registry.counter("campaign.degraded") > before
-        finally:
-            telemetry.disable()
+        run_campaign(
+            toy_workload,
+            golden,
+            cycles,
+            CampaignConfig(
+                n_injections=30,
+                kind=RegKind.GPR,
+                seed=5,
+                workers=3,
+                retry=RetryPolicy(max_retries=1, backoff_base_s=0.01, backoff_max_s=0.02),
+            ),
+            spec=KillAlwaysSpec(os.getpid()),
+        )
+        assert fresh_tracer.registry.counter("campaign.degraded") > 0
 
     def test_workload_bugs_still_propagate_without_retry(self, toy):
         """Only infrastructure failures retry; library bugs surface once."""
@@ -269,29 +258,24 @@ class TestWallClockWatchdog:
             assert result.outcome is Outcome.HANG
             assert result.hang_kind is HangKind.SIMULATED
 
-    def test_watchdog_hang_counter_emitted(self):
+    def test_watchdog_hang_counter_emitted(self, fresh_tracer):
         def stalling_workload(ctx):
             time.sleep(1.5)
             return np.zeros((4, 4), dtype=np.uint8)
 
-        tracer = telemetry.enable()
-        before = tracer.registry.counter("campaign.watchdog_hangs")
-        try:
-            run_campaign(
-                stalling_workload,
-                np.zeros((4, 4), dtype=np.uint8),
-                1000,
-                CampaignConfig(
-                    n_injections=1,
-                    kind=RegKind.GPR,
-                    seed=0,
-                    workers=1,
-                    watchdog=WatchdogPolicy(soft_deadline_s=0.1),
-                ),
-            )
-            assert tracer.registry.counter("campaign.watchdog_hangs") == before + 1
-        finally:
-            telemetry.disable()
+        run_campaign(
+            stalling_workload,
+            np.zeros((4, 4), dtype=np.uint8),
+            1000,
+            CampaignConfig(
+                n_injections=1,
+                kind=RegKind.GPR,
+                seed=0,
+                workers=1,
+                watchdog=WatchdogPolicy(soft_deadline_s=0.1),
+            ),
+        )
+        assert fresh_tracer.registry.counter("campaign.watchdog_hangs") == 1
 
     def test_watchdog_does_not_change_healthy_results(self, toy):
         """Generous deadlines leave a healthy campaign bit-identical."""

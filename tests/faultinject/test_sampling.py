@@ -16,7 +16,10 @@ Three invariants anchor this file:
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +45,8 @@ from repro.faultinject.sampling import (
     reweighted_variance,
     uniform_cycle_edges,
 )
-from tests.faultinject.test_parallel import toy_workload
+from repro.observe import events as observe_events
+from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
 
 
 def _counts(masked=0, sdc=0, crash_segv=0, crash_abort=0, hang=0) -> OutcomeCounts:
@@ -307,6 +311,14 @@ def _toy():
     return golden, ctx.cycles
 
 
+@dataclass(frozen=True)
+class _TapedToySpec(ToyWorkloadSpec):
+    """The toy spec with a stand-in tape: only its frame boundaries exist."""
+
+    def build_fast_forward(self):
+        return SimpleNamespace(tape=SimpleNamespace(boundary_cycles=(1000, 3000)))
+
+
 def _stratified_config(**overrides) -> CampaignConfig:
     base = dict(
         n_injections=1,
@@ -320,6 +332,23 @@ def _stratified_config(**overrides) -> CampaignConfig:
     )
     base.update(overrides)
     return CampaignConfig(**base)
+
+
+def _observed(config: CampaignConfig, **kwargs):
+    """Run a toy campaign on a fresh event bus; returns it and its events."""
+    golden, cycles = _toy()
+    bus = observe_events.install()
+    seen = []
+    bus.subscribe(seen.append)
+    try:
+        return run_campaign(toy_workload, golden, cycles, config, **kwargs), seen
+    finally:
+        observe_events.uninstall()
+
+
+def _only(events, kind: str) -> dict:
+    (payload,) = [event.payload for event in events if event.kind == kind]
+    return payload
 
 
 def _outcome_sequence(campaign) -> list[tuple]:
@@ -389,6 +418,71 @@ class TestStratifiedCampaign:
         reference = run_campaign(toy_workload, golden, cycles, config)
         assert _outcome_sequence(resumed) == _outcome_sequence(reference)
         assert resumed.sampling.to_dict() == reference.sampling.to_dict()
+
+    def _interrupted(self, tmp_path, monkeypatch, rounds: int):
+        golden, cycles = _toy()
+        journal = tmp_path / "strat.jsonl"
+        monkeypatch.setenv(ABORT_AFTER_ENV, str(rounds))
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                toy_workload, golden, cycles, _stratified_config(), journal_path=journal
+            )
+        monkeypatch.delenv(ABORT_AFTER_ENV)
+        return journal
+
+    def _resume(self, journal, spec=None):
+        """Resume ``journal``; returns the campaign and its journal_resume payload."""
+        campaign, seen = _observed(
+            _stratified_config(), spec=spec, journal_path=journal, resume=True
+        )
+        return campaign, _only(seen, "journal_resume")
+
+    def _assert_matches_clean_run(self, campaign):
+        golden, cycles = _toy()
+        reference = run_campaign(toy_workload, golden, cycles, _stratified_config())
+        assert _outcome_sequence(campaign) == _outcome_sequence(reference)
+        assert campaign.sampling.to_dict() == reference.sampling.to_dict()
+
+    def test_torn_final_round_is_discarded_and_reruns(self, tmp_path, monkeypatch):
+        journal = self._interrupted(tmp_path, monkeypatch, rounds=2)
+        journal.write_bytes(journal.read_bytes()[:-30])
+
+        campaign, resumed = self._resume(journal)
+        assert resumed["replayed"] == 1
+        assert resumed["discarded_partial"] is True
+        self._assert_matches_clean_run(campaign)
+        for line in journal.read_text().splitlines():
+            json.loads(line)
+
+    def test_corrupt_mid_file_round_replays_only_the_prefix(self, tmp_path, monkeypatch):
+        journal = self._interrupted(tmp_path, monkeypatch, rounds=3)
+        lines = journal.read_text().splitlines()
+        assert [json.loads(line)["type"] for line in lines] == ["header"] + ["round"] * 3
+        record = json.loads(lines[2])  # round 1
+        record["crc32"] = (record["crc32"] + 1) & 0xFFFFFFFF
+        lines[2] = json.dumps(record, separators=(",", ":"))
+        journal.write_text("\n".join(lines) + "\n")
+
+        campaign, resumed = self._resume(journal)
+        assert resumed["replayed"] == 1
+        assert resumed["discarded_partial"] is True
+        self._assert_matches_clean_run(campaign)
+
+    def test_changed_stratification_refused(self, tmp_path, monkeypatch):
+        journal = self._interrupted(tmp_path, monkeypatch, rounds=1)
+        before = journal.read_bytes()
+        # Same fingerprint, but a tape now snaps the cycle strata to its
+        # frame boundaries instead of equal-width buckets.
+        with pytest.raises(JournalError, match="different stratification"):
+            self._resume(journal, spec=_TapedToySpec())
+        assert journal.read_bytes() == before
+
+    def test_start_event_reports_resolved_workers(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        _, seen = _observed(_stratified_config(workers=None))
+        start = _only(seen, "campaign_start")
+        assert start["mode"] == "stratified"
+        assert start["workers"] == 1
 
     def test_mixed_mode_resume_rejected_both_ways(self, tmp_path):
         golden, cycles = _toy()

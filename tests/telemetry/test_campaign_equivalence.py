@@ -8,6 +8,8 @@ and SDC outputs to an untraced one, at ``workers=1`` and ``workers>1``
 
 from __future__ import annotations
 
+import contextlib
+
 from repro import telemetry
 from repro.faultinject.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.faultinject.registers import RegKind
@@ -19,15 +21,30 @@ from tests.faultinject.test_parallel import (
 )
 
 
+@contextlib.contextmanager
+def _tracing(on: bool):
+    """A fresh tracer for the block when ``on``, else none; then the previous one.
+
+    The ``fresh_tracer`` fixture's swap, for tests that compare a traced
+    run with an untraced one.
+    """
+    if on:
+        fresh, previous = telemetry.swap_in_fresh_tracer()
+    else:
+        fresh, previous = None, telemetry.disable()
+    try:
+        yield fresh
+    finally:
+        telemetry.restore_tracer(previous)
+
+
 def _toy_campaign(workers: int, traced: bool) -> CampaignResult:
     spec = ToyWorkloadSpec()
     _, golden, cycles = spec.build()
     config = CampaignConfig(
         n_injections=60, kind=RegKind.GPR, seed=9, workers=workers
     )
-    if traced:
-        telemetry.enable()
-    try:
+    with _tracing(traced):
         return run_campaign(
             toy_workload,
             golden,
@@ -35,8 +52,6 @@ def _toy_campaign(workers: int, traced: bool) -> CampaignResult:
             config,
             spec=spec if workers > 1 else None,
         )
-    finally:
-        telemetry.disable()
 
 
 class TestToyCampaignEquivalence:
@@ -54,8 +69,7 @@ class TestMergedCounters:
     def _counters_for(self, workers: int) -> tuple[dict, CampaignResult]:
         spec = ToyWorkloadSpec()
         _, golden, cycles = spec.build()
-        tracer = telemetry.enable()
-        try:
+        with _tracing(True) as tracer:
             campaign = run_campaign(
                 toy_workload,
                 golden,
@@ -63,9 +77,7 @@ class TestMergedCounters:
                 CampaignConfig(n_injections=60, kind=RegKind.GPR, seed=9, workers=workers),
                 spec=spec if workers > 1 else None,
             )
-            return dict(tracer.registry.snapshot()["counters"]), campaign
-        finally:
-            telemetry.disable()
+        return dict(tracer.registry.snapshot()["counters"]), campaign
 
     def test_counters_agree_with_assembled_statistics(self):
         counters, campaign = self._counters_for(workers=1)
@@ -86,23 +98,19 @@ class TestMergedCounters:
         for key in campaign_keys:
             assert parallel_counters.get(key) == serial_counters[key], key
 
-    def test_parallel_campaign_aggregates_stage_timers(self):
+    def test_parallel_campaign_aggregates_stage_timers(self, fresh_tracer):
         spec = ToyWorkloadSpec()
         _, golden, cycles = spec.build()
-        tracer = telemetry.enable()
-        try:
-            run_campaign(
-                toy_workload,
-                golden,
-                cycles,
-                CampaignConfig(n_injections=40, kind=RegKind.GPR, seed=2, workers=2),
-                spec=spec,
-            )
-            # Parent-side phase spans recorded as events...
-            names = {event["name"] for event in tracer.events}
-            assert {"campaign.draw_plans", "campaign.execute", "campaign.assemble"} <= names
-        finally:
-            telemetry.disable()
+        run_campaign(
+            toy_workload,
+            golden,
+            cycles,
+            CampaignConfig(n_injections=40, kind=RegKind.GPR, seed=2, workers=2),
+            spec=spec,
+        )
+        # Parent-side phase spans recorded as events...
+        names = {event["name"] for event in fresh_tracer.events}
+        assert {"campaign.draw_plans", "campaign.execute", "campaign.assemble"} <= names
 
 
 class TestVSCampaignEquivalence:
@@ -119,9 +127,7 @@ class TestVSCampaignEquivalence:
         assert spec is not None
 
         def run(workers: int, traced: bool) -> CampaignResult:
-            if traced:
-                telemetry.enable()
-            try:
+            with _tracing(traced):
                 return run_campaign(
                     vs_workload(stream, config),
                     golden.output,
@@ -129,8 +135,6 @@ class TestVSCampaignEquivalence:
                     CampaignConfig(n_injections=5, kind=RegKind.GPR, seed=21, workers=workers),
                     spec=spec,
                 )
-            finally:
-                telemetry.disable()
 
         untraced = run(1, traced=False)
         _campaigns_equal(untraced, run(1, traced=True))
